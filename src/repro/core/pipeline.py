@@ -41,6 +41,7 @@ from repro.core.selectors.base import (
 )
 from repro.core.selectors.registry import DEFAULT_REGISTRY, Factory, lookup
 from repro.core.spec.ast import (
+    MAX_SELECTOR_DEPTH,
     AllExpr,
     Assign,
     CallExpr,
@@ -109,11 +110,6 @@ def attach_cache_key(
     return key
 
 
-# backwards-compatible private aliases (pre-service internal API)
-_canonical_key = cache_key
-_attach_cache_key = attach_cache_key
-
-
 @dataclass(frozen=True)
 class CompiledSpec:
     """A specification compiled to its selector DAG (the compile phase).
@@ -167,6 +163,10 @@ class PipelineBuilder:
     stay unkeyed (their semantics may differ from what the key encodes)
     and a :class:`RuntimeWarning` flags the lost cross-run caching once
     per name.
+
+    A statement whose selector DAG is more than
+    :data:`~repro.core.spec.ast.MAX_SELECTOR_DEPTH` calls deep, counting
+    the calls behind its ``%name`` references, is rejected.
     """
 
     def __init__(self, registry: dict[str, Factory] | None = None):
@@ -178,6 +178,8 @@ class PipelineBuilder:
     def build(self, spec: SpecFile) -> tuple[Selector, dict[str, Selector]]:
         """Returns ``(entry selector, named instances)``."""
         named: dict[str, Selector] = {}
+        # selector calls on the longest path below each named instance
+        depths: dict[str, int] = {}
         entry: Selector | None = None
         for stmt in spec.statements:
             if isinstance(stmt, Assign):
@@ -185,15 +187,18 @@ class PipelineBuilder:
                     raise SpecSemanticError(
                         f"selector instance {stmt.name!r} redefined"
                     )
-                inner = self._build_expr(stmt.expr, named)
+                inner, depth = self._build_expr(stmt.expr, named, depths)
+                self._check_depth(stmt.name, depth)
                 selector = NamedRef(stmt.name, inner)
                 key = getattr(inner, "cache_key", None)
                 if key is not None:
                     selector.cache_key = key
                 named[stmt.name] = selector
+                depths[stmt.name] = depth
                 entry = selector
             else:
-                entry = self._build_expr(stmt, named)
+                entry, depth = self._build_expr(stmt, named, depths)
+                self._check_depth(getattr(stmt, "selector", "entry"), depth)
         if entry is None:
             raise SpecSemanticError("specification defines no selectors")
         return entry, named
@@ -213,12 +218,23 @@ class PipelineBuilder:
             )
         return False
 
-    def _build_expr(self, expr: Expr, named: dict[str, Selector]) -> Selector:
+    @staticmethod
+    def _check_depth(name: str, depth: int) -> None:
+        if depth > MAX_SELECTOR_DEPTH:
+            raise SpecSemanticError(
+                f"selector {name!r} is {depth} calls deep, counting its "
+                f"%references; the limit is {MAX_SELECTOR_DEPTH}"
+            )
+
+    def _build_expr(
+        self, expr: Expr, named: dict[str, Selector], depths: dict[str, int]
+    ) -> tuple[Selector, int]:
+        """The selector for ``expr`` and its depth in selector calls."""
         if isinstance(expr, AllExpr):
-            return self._all
+            return self._all, 0
         if isinstance(expr, RefExpr):
             try:
-                return named[expr.name]
+                return named[expr.name], depths[expr.name]
             except KeyError:
                 raise SpecSemanticError(
                     f"reference to undefined selector %{expr.name}"
@@ -227,6 +243,7 @@ class PipelineBuilder:
             factory = lookup(expr.selector, self._registry)
             args: list = []
             parts: list[str | None] = []
+            depth = 1
             for arg in expr.args:
                 if isinstance(arg, StrLit):
                     args.append(arg.value)
@@ -235,9 +252,10 @@ class PipelineBuilder:
                     args.append(arg.value)
                     parts.append(f"n{arg.value!r}")
                 else:
-                    child = self._build_expr(arg, named)
+                    child, child_depth = self._build_expr(arg, named, depths)
                     args.append(child)
                     parts.append(getattr(child, "cache_key", None))
+                    depth = max(depth, child_depth + 1)
             selector = factory(*args)
             if self._keyable(expr.selector, factory) and not any(
                 p is None for p in parts
@@ -248,7 +266,7 @@ class PipelineBuilder:
                     )
                 except AttributeError:
                     pass  # slotted third-party selector: simply stays uncached
-            return selector
+            return selector, depth
         raise SpecSemanticError(
             f"literal {expr!r} cannot be used as a selector"
         )

@@ -7,6 +7,11 @@ from typing import Union
 
 Expr = Union["CallExpr", "RefExpr", "AllExpr", "StrLit", "NumLit"]
 
+#: deepest chain of selector calls a spec may build, nested or through
+#: ``%name`` references; compiling and evaluating recurse per level, so
+#: this keeps hostile specs far below Python's recursion limit
+MAX_SELECTOR_DEPTH = 64
+
 
 @dataclass(frozen=True)
 class StrLit:

@@ -13,6 +13,7 @@ Listing 1 writes ``loopDepth(">=" 1, %%)``)::
 from __future__ import annotations
 
 from repro.core.spec.ast import (
+    MAX_SELECTOR_DEPTH,
     AllExpr,
     Assign,
     CallExpr,
@@ -93,9 +94,17 @@ class Parser:
             )
         return expr
 
-    def _expr(self) -> Expr:
+    def _expr(self, depth: int = 1) -> Expr:
+        """Parse one expression; a call here is the ``depth``-th nested one."""
         tok = self._peek()
         if tok.kind is TokenKind.IDENT:
+            if depth > MAX_SELECTOR_DEPTH:
+                raise SpecSyntaxError(
+                    f"selector call {tok.text!r} nested deeper than "
+                    f"{MAX_SELECTOR_DEPTH} levels",
+                    tok.line,
+                    tok.column,
+                )
             self._advance()
             self._expect(TokenKind.LPAREN)
             args: list[Expr] = []
@@ -106,7 +115,7 @@ class Parser:
                         tok.line,
                         tok.column,
                     )
-                args.append(self._expr())
+                args.append(self._expr(depth + 1))
                 if self._peek().kind is TokenKind.COMMA:
                     self._advance()
             self._expect(TokenKind.RPAREN)

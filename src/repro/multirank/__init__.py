@@ -76,6 +76,7 @@ from repro.multirank.scheduler import (
 from repro.multirank.tracing import (
     SYNC_OPS,
     CriticalSegment,
+    MergedTimeline,
     MergedTrace,
     SyncPoint,
     WaitInterval,
@@ -95,6 +96,7 @@ __all__ = [
     "ImbalanceSpec",
     "LewiStep",
     "MergedProfileNode",
+    "MergedTimeline",
     "MergedTrace",
     "MultiRankOutcome",
     "MultiprocessingBackend",

@@ -23,16 +23,18 @@ profile reducer attributes via
 :func:`repro.simmpi.world.finalize_wait`: the two views agree by
 construction (acceptance-tested to within one collective latency).
 
-On top of the merged timeline ship the first two trace-based analyses,
+The analyses live once, on :class:`MergedTimeline`, and read events only
+through its two accessors, so the in-memory :class:`MergedTrace` and
+the on-disk :class:`~repro.trace.streaming.StreamingTrace` share them.
 Scalasca-style:
 
-* :meth:`MergedTrace.wait_states` — per-rank wait intervals at each
+* :meth:`MergedTimeline.wait_states` — per-rank wait intervals at each
   collective ("Wait at Barrier/NxN"): who blocked, where, for how long;
-* :meth:`MergedTrace.critical_path` — a simple critical-path walk over
-  the segments between synchronisation points: per segment, the rank
-  whose local (wait-free) time is largest is on the critical path, and
-  the region with the largest exclusive share of that segment names the
-  code to fix.
+* :meth:`MergedTimeline.critical_path` — a simple critical-path walk
+  over the segments between synchronisation points: per segment, the
+  rank whose local (wait-free) time is largest is on the critical path,
+  and the region with the largest exclusive share of that segment names
+  the code to fix.
 
 Entry point: ``run_app(..., ranks=N, imbalance=..., tracing=True)`` →
 ``RunOutcome.merged_trace``, or :func:`merge_rank_traces` directly.
@@ -40,11 +42,8 @@ Entry point: ``run_app(..., ranks=N, imbalance=..., tracing=True)`` →
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
-
-from dataclasses import replace
-from typing import Iterable, Iterator
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import CapiError
 from repro.scorep.tracing import (
@@ -52,8 +51,8 @@ from repro.scorep.tracing import (
     TraceEvent,
     TraceEventKind,
     TraceIssue,
+    leave_region,
     merge_streams,
-    tag_events,
     validate_trace,
 )
 from repro.simmpi.comm import SYNCHRONIZING
@@ -143,28 +142,43 @@ class CriticalSegment:
 
 
 @dataclass
-class MergedTrace:
-    """One rank-tagged, logically-clocked timeline of an N-rank run."""
+class MergedTimeline:
+    """Alignment results and analyses of one merged N-rank timeline.
+
+    The analyses read events only through the two accessors a source
+    supplies — :meth:`rank_stream` and :meth:`timeline` — so the
+    in-memory :class:`MergedTrace` and the on-disk
+    :class:`~repro.trace.streaming.StreamingTrace` run the same code.
+    """
 
     ranks: int
-    #: the merged stream: aligned timestamps, ordered by (time, rank)
-    events: list[RankedTraceEvent]
+    #: true rank id of each stream position (ascending); a degraded run
+    #: merges only the surviving ranks, whose lanes keep their identity
+    rank_ids: tuple[int, ...]
     sync_points: list[SyncPoint]
     #: final per-rank logical-clock offset == total synchronisation wait
     rank_offsets: tuple[float, ...]
     #: per-rank event counts (all kinds)
     events_per_rank: tuple[int, ...]
-    #: per-rank aligned event streams (rank order), kept for analyses
-    per_rank: list[list[RankedTraceEvent]] = field(default_factory=list)
-    #: true rank ids of the streams (position -> rank id); set when the
-    #: merge covers a partial world (degraded run) so lanes keep their
-    #: original identity — empty means positional (rank i at index i)
-    rank_ids: tuple[int, ...] = ()
+    #: aligned timestamp of each rank's final event (0.0 when empty)
+    last_aligned: tuple[float, ...]
+
+    # -- event access (supplied by the source) ---------------------------------
+
+    def rank_stream(self, pos: int) -> Iterable[RankedTraceEvent]:
+        """Aligned, rank-tagged events of the rank at position ``pos``."""
+        raise NotImplementedError
+
+    def timeline(self) -> Iterable[RankedTraceEvent]:
+        """The merged stream: aligned timestamps, ordered by (time, rank)."""
+        raise NotImplementedError
+
+    # -- alignment views -------------------------------------------------------
 
     @property
     def rank_labels(self) -> tuple[int, ...]:
-        """Rank id of each stream position (identity when not degraded)."""
-        return self.rank_ids if self.rank_ids else tuple(range(self.ranks))
+        """Rank id of each stream position."""
+        return self.rank_ids
 
     @property
     def rank_wait_cycles(self) -> tuple[float, ...]:
@@ -179,32 +193,29 @@ class MergedTrace:
     @property
     def elapsed_cycles(self) -> float:
         """Aligned end of the timeline (0.0 for an empty trace)."""
-        return self.events[-1].timestamp_cycles if self.events else 0.0
+        return max(self.last_aligned, default=0.0)
 
     # -- consistency -----------------------------------------------------------
 
     def validate(self) -> list[TraceIssue]:
         """Merged-stream consistency checks, as machine-readable records.
 
-        The global stream must be ``(timestamp, rank)``-ordered, every
-        rank's projected substream must stay timestamp-monotone after
-        alignment, and each projection must pass the single-stream
-        :func:`~repro.scorep.tracing.validate_trace` nesting checks
-        (enter/leave balance is a per-rank property; ranks interleave
-        freely in the global order).  Each defect is a
+        The global stream must be ``(timestamp, rank)``-ordered, and each
+        rank's aligned stream must pass the single-stream
+        :func:`~repro.scorep.tracing.validate_trace` checks (alignment
+        adds a never-decreasing offset, so it neither creates nor hides
+        a timestamp regression).  Each defect is a
         :class:`~repro.scorep.tracing.TraceIssue` with a stable ``code``
         (``merge-order`` for global-order violations, the single-stream
         codes otherwise) and the offending ``rank`` filled in;
         ``str(issue)`` keeps the legacy message text.
         """
         return [
-            *validate_merge_order(self.events),
+            *validate_merge_order(self.timeline()),
             *(
                 issue
-                for rank, stream in zip(self.rank_labels, self.per_rank)
-                for issue in validate_rank_stream(
-                    rank, (ev.untagged() for ev in stream)
-                )
+                for pos, rank in enumerate(self.rank_labels)
+                for issue in validate_rank_stream(rank, self.rank_stream(pos))
             ),
         ]
 
@@ -217,7 +228,7 @@ class MergedTrace:
         blocks until the collective completes; the interval spans from
         its (aligned) arrival to the aligned completion.  Intervals not
         exceeding ``min_wait_cycles`` are dropped — the bottleneck rank
-        itself never appears.
+        itself never appears.  Needs the sync points only, no events.
         """
         labels = self.rank_labels
         intervals = [
@@ -252,22 +263,21 @@ class MergedTrace:
         — the trailing wait interval is excluded, so durations measure
         work, not blocking.
         """
-        if not self.per_rank or not any(self.per_rank):
+        if not any(self.events_per_rank):
             return []
-        segments: list[CriticalSegment] = []
-        ops = ["start", *[sp.op for sp in self.sync_points], "end"]
-        windows = self._segment_windows()
+        windows = segment_windows(self.sync_points, self.last_aligned)
         # one forward pass per rank computes every segment's top region
         # (windows are disjoint and ascending), keeping the whole walk
         # linear in the trace length instead of per-segment re-walks
         tops = [
             _top_regions_by_segment(
-                self.per_rank[rank],
-                [windows[seg][rank] for seg in range(len(windows))],
+                self.rank_stream(pos), [window[pos] for window in windows]
             )
-            for rank in range(self.ranks)
+            for pos in range(self.ranks)
         ]
+        ops = ["start", *[sp.op for sp in self.sync_points], "end"]
         labels = self.rank_labels
+        segments: list[CriticalSegment] = []
         for seg in range(len(ops) - 1):
             durations = [end - begin for begin, end in windows[seg]]
             pos = max(range(self.ranks), key=lambda r: (durations[r], -r))
@@ -283,22 +293,13 @@ class MergedTrace:
             )
         return segments
 
-    def _segment_windows(self) -> list[list[tuple[float, float]]]:
-        return segment_windows(
-            self.sync_points,
-            [
-                self.per_rank[r][-1].timestamp_cycles if self.per_rank[r] else 0.0
-                for r in range(self.ranks)
-            ],
-        )
-
     # -- rendering -------------------------------------------------------------
 
     def render(self, *, max_wait_states: int = 8) -> str:
         lines = [
             "=" * 64,
-            f"Merged trace — {self.ranks} ranks, {len(self.events)} events, "
-            f"{len(self.sync_points)} sync point(s)",
+            f"Merged trace — {self.ranks} ranks, {sum(self.events_per_rank)} "
+            f"events, {len(self.sync_points)} sync point(s)",
             "=" * 64,
         ]
         for pos, rank in enumerate(self.rank_labels):
@@ -326,13 +327,36 @@ class MergedTrace:
         return "\n".join(lines)
 
 
-def _sync_sequence(events: Sequence[TraceEvent]) -> list[tuple[str, float]]:
-    """The (op, local timestamp) sequence of a rank's sync-point events."""
-    return [
-        (ev.region, ev.timestamp_cycles)
-        for ev in events
-        if ev.kind is TraceEventKind.MPI and ev.region in SYNC_OPS
-    ]
+@dataclass
+class MergedTrace(MergedTimeline):
+    """One rank-tagged, logically-clocked timeline of an N-rank run, in memory."""
+
+    #: the merged stream: aligned timestamps, ordered by (time, rank)
+    events: list[RankedTraceEvent]
+    #: per-rank aligned event streams (rank order), kept for analyses
+    per_rank: list[list[RankedTraceEvent]]
+
+    def rank_stream(self, pos: int) -> list[RankedTraceEvent]:
+        return self.per_rank[pos]
+
+    def timeline(self) -> list[RankedTraceEvent]:
+        return self.events
+
+
+def scan_stream(
+    events: Iterable[TraceEvent],
+) -> tuple[list[tuple[str, float]], int, float]:
+    """One pass over a rank's raw stream: its sync-point ``(op, local
+    time)`` sequence, its event count and its last local timestamp."""
+    sync_seq: list[tuple[str, float]] = []
+    count = 0
+    last_t = 0.0
+    for ev in events:
+        count += 1
+        last_t = ev.timestamp_cycles
+        if ev.kind is TraceEventKind.MPI and ev.region in SYNC_OPS:
+            sync_seq.append((ev.region, last_t))
+    return sync_seq, count, last_t
 
 
 def _alignment_anchors(
@@ -447,6 +471,33 @@ def _offset_at(plan: "list[tuple[float, float]]", t: float) -> float:
     return offset
 
 
+def align_scans(
+    rank_ids: tuple[int, ...],
+    scans: "list[tuple[list[tuple[str, float]], int, float]]",
+) -> tuple[dict, list[list[tuple[float, float]]]]:
+    """The alignment pass shared by every :class:`MergedTimeline` source.
+
+    From the ranks' :func:`scan_stream` results, returns the timeline's
+    alignment fields and the per-rank shift schedules that
+    :func:`align_stream` replays over the same events.
+    """
+    sync_points, offsets, schedule = compute_alignment(
+        [sync_seq for sync_seq, _, _ in scans]
+    )
+    fields = {
+        "ranks": len(rank_ids),
+        "rank_ids": rank_ids,
+        "sync_points": sync_points,
+        "rank_offsets": offsets,
+        "events_per_rank": tuple(count for _, count, _ in scans),
+        "last_aligned": tuple(
+            last_t + _offset_at(plan, last_t)
+            for (_, _, last_t), plan in zip(scans, schedule)
+        ),
+    }
+    return fields, schedule
+
+
 def validate_merge_order(
     events: Iterable[RankedTraceEvent],
 ) -> Iterator[TraceIssue]:
@@ -465,7 +516,7 @@ def validate_merge_order(
 
 
 def validate_rank_stream(
-    rank: int, events: Iterable[TraceEvent]
+    rank: int, events: Iterable[TraceEvent | RankedTraceEvent]
 ) -> Iterator[TraceIssue]:
     """Single-stream checks with the rank stamped into each issue."""
     for issue in validate_trace(events):
@@ -511,7 +562,7 @@ def merge_rank_traces(
     """Merge N per-rank event streams into one aligned, rank-tagged timeline.
 
     Implements the logical-clock rule described in the module docstring
-    via :func:`compute_alignment` + :func:`align_stream`.
+    via :func:`align_scans` + :func:`align_stream`.
 
     ``rank_ids`` names the true rank of each input stream (ascending) —
     a degraded run merges only the surviving ranks, and their timeline
@@ -522,26 +573,15 @@ def merge_rank_traces(
     produced the same per-rank streams (the merge never looks at
     anything but the streams themselves).
     """
-    ranks = len(per_rank_events)
-    ids = resolve_rank_ids(ranks, rank_ids)
+    ids = resolve_rank_ids(len(per_rank_events), rank_ids)
     streams = [list(s) for s in per_rank_events]
-    sync_points, offsets, schedule = compute_alignment(
-        [_sync_sequence(s) for s in streams]
-    )
-
+    alignment, schedule = align_scans(ids, [scan_stream(s) for s in streams])
     aligned_streams = [
         list(align_stream(ids[pos], stream, schedule[pos]))
         for pos, stream in enumerate(streams)
     ]
-
     return MergedTrace(
-        ranks=ranks,
-        events=merge_streams(aligned_streams),
-        sync_points=sync_points,
-        rank_offsets=offsets,
-        events_per_rank=tuple(len(s) for s in streams),
-        per_rank=aligned_streams,
-        rank_ids=ids,
+        **alignment, events=merge_streams(aligned_streams), per_rank=aligned_streams
     )
 
 
@@ -562,7 +602,7 @@ def resolve_rank_ids(
 
 
 def _top_regions_by_segment(
-    events: Sequence[RankedTraceEvent],
+    events: Iterable[RankedTraceEvent],
     windows: Sequence[tuple[float, float]],
 ) -> list["str | None"]:
     """Per window, the region with the largest exclusive time inside it.
@@ -601,13 +641,7 @@ def _top_regions_by_segment(
         if ev.kind is TraceEventKind.ENTER:
             stack.append(ev.region)
         elif ev.kind is TraceEventKind.LEAVE:
-            if stack and stack[-1] == ev.region:
-                stack.pop()
-            elif ev.region in stack:
-                while stack and stack[-1] != ev.region:
-                    stack.pop()
-                if stack:
-                    stack.pop()
+            leave_region(stack, ev.region)
     return [
         max(acc.items(), key=lambda kv: (kv[1], kv[0]))[0] if acc else None
         for acc in exclusive

@@ -4,7 +4,8 @@ Score-P is "a widely used profiling **and tracing** infrastructure"
 (paper §I).  Besides the call-path profile, the measurement runtime can
 record a full event trace — enter/leave per region plus MPI operation
 markers — which downstream tools (Vampir, Scalasca) consume as OTF2.
-We model the event stream and a JSON-lines serialisation.
+We model the event stream; :mod:`repro.trace.store` writes it to disk
+as an OTF2-shaped archive.
 
 Tracing costs more per event than profiling (buffer writes, timestamp
 acquisition); the cost model charges ``TRACE_EVENT_EXTRA`` on top of the
@@ -15,9 +16,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.errors import CapiError
@@ -160,31 +159,6 @@ class ScorePTracer:
             self.events.clear()
         return self.writer.close()
 
-    def save(self, path: str | Path) -> int:
-        events = self.all_events()
-        with open(path, "w") as fh:
-            for ev in events:
-                record = {
-                    "k": ev.kind.value, "r": ev.region, "t": ev.timestamp_cycles
-                }
-                if ev.mid is not None:
-                    record["m"] = ev.mid
-                fh.write(json.dumps(record) + "\n")
-        return len(events)
-
-    @classmethod
-    def load(cls, path: str | Path) -> list[TraceEvent]:
-        out = []
-        for line in Path(path).read_text().splitlines():
-            data = json.loads(line)
-            out.append(
-                TraceEvent(
-                    TraceEventKind(data["k"]), data["r"], data["t"],
-                    data.get("m"),
-                )
-            )
-        return out
-
 
 @dataclass(frozen=True)
 class TraceIssue:
@@ -204,16 +178,29 @@ class TraceIssue:
         return self.detail
 
 
+def leave_region(stack: list[str], region: str) -> int | None:
+    """Close ``region`` on an open-region stack, popping through (like
+    stack unwinding) any inner regions still open above it.  Returns how
+    many were implicitly closed, or ``None`` if ``region`` was not open."""
+    if stack and stack[-1] == region:
+        stack.pop()
+        return 0
+    if region not in stack:
+        return None
+    skipped = 0
+    while stack.pop() != region:
+        skipped += 1
+    return skipped
+
+
 def validate_trace(events: Iterable[TraceEvent]) -> list[TraceIssue]:
     """Consistency checks a trace analyser would run.
 
     Returns a list of :class:`TraceIssue` records: non-monotonic
     timestamps and unbalanced enter/leave nesting per region stream.
-    Each defect is reported exactly once: a LEAVE whose region sits
-    deeper in the stack resynchronises by popping through it (the
-    skipped inner regions are implicitly closed, like stack unwinding),
-    so one out-of-order LEAVE no longer leaves the mismatched region on
-    the stack forever and floods the report with spurious
+    Each defect is reported exactly once: an out-of-order LEAVE
+    resynchronises the stack (:func:`leave_region`) instead of leaving
+    the mismatched region open and flooding the report with spurious
     ``unclosed-region`` entries for every frame above it.
     """
     problems: list[TraceIssue] = []
@@ -231,28 +218,20 @@ def validate_trace(events: Iterable[TraceEvent]) -> list[TraceIssue]:
         if ev.kind is TraceEventKind.ENTER:
             stack.append(ev.region)
         elif ev.kind is TraceEventKind.LEAVE:
-            if stack and stack[-1] == ev.region:
-                stack.pop()
-            elif ev.region in stack:
-                # out-of-order LEAVE of an outer region: resync by
-                # unwinding to it so later events validate normally
-                skipped = 0
-                while stack[-1] != ev.region:
-                    stack.pop()
-                    skipped += 1
-                stack.pop()
+            skipped = leave_region(stack, ev.region)
+            if skipped is None:
+                problems.append(
+                    TraceIssue(
+                        "unbalanced-leave", ev.region,
+                        f"unbalanced LEAVE {ev.region}",
+                    )
+                )
+            elif skipped:
                 problems.append(
                     TraceIssue(
                         "unbalanced-leave-resync", ev.region,
                         f"unbalanced LEAVE {ev.region} "
                         f"(implicitly closed {skipped} inner region(s))",
-                    )
-                )
-            else:
-                problems.append(
-                    TraceIssue(
-                        "unbalanced-leave", ev.region,
-                        f"unbalanced LEAVE {ev.region}",
                     )
                 )
     problems.extend(

@@ -7,16 +7,16 @@ bit-identical) while holding O(ranks × buffer) memory:
 
 1. **Alignment pass** — each location file is scanned once, streaming,
    collecting only its synchronisation-event sequence plus an event
-   count and last timestamp.  :func:`compute_alignment` then solves
-   the logical clocks exactly as the in-memory merge does.
+   count and last timestamp.  :func:`align_scans` then solves the
+   logical clocks — the same pass the in-memory merge runs.
 2. **Merge pass** — ``heapq.merge`` over per-location readers wrapped
    in :func:`align_stream`, keyed ``(timestamp, rank)``.  At any
    moment each reader holds one decoded event plus its file buffer.
 
-Analyses (:meth:`StreamingTrace.wait_states`,
-:meth:`StreamingTrace.critical_path`, :meth:`StreamingTrace.validate`)
-run off sync points and single-pass generator walks — no full
-materialisation.
+The analyses are :class:`~repro.multirank.tracing.MergedTimeline`'s,
+shared with the in-memory merge; they run off sync points and
+single-pass walks over :meth:`StreamingTrace.rank_stream` and
+:meth:`StreamingTrace.timeline` — no full materialisation.
 """
 
 from __future__ import annotations
@@ -27,25 +27,15 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from repro.multirank.tracing import (
-    SYNC_OPS,
+    MergedTimeline,
     MergedTrace,
-    SyncPoint,
-    WaitInterval,
-    _offset_at,
-    _top_regions_by_segment,
+    align_scans,
     align_stream,
-    compute_alignment,
     merge_rank_traces,
     resolve_rank_ids,
-    segment_windows,
-    validate_merge_order,
-    validate_rank_stream,
+    scan_stream,
 )
-from repro.scorep.tracing import (
-    RankedTraceEvent,
-    TraceEventKind,
-    TraceIssue,
-)
+from repro.scorep.tracing import RankedTraceEvent
 from repro.trace.store import (
     TraceStoreError,
     discover_ranks,
@@ -54,57 +44,27 @@ from repro.trace.store import (
 )
 
 
-def _scan_location(
-    trace_dir: str | Path, rank: int, *, strict: bool
-) -> tuple[list[tuple[str, float]], int, float]:
-    """One streaming pass: (sync sequence, event count, last timestamp)."""
-    sync_seq: list[tuple[str, float]] = []
-    count = 0
-    last_t = 0.0
-    for ev in iter_location(trace_dir, rank, strict=strict):
-        count += 1
-        last_t = ev.timestamp_cycles
-        if ev.kind is TraceEventKind.MPI and ev.region in SYNC_OPS:
-            sync_seq.append((ev.region, ev.timestamp_cycles))
-    return sync_seq, count, last_t
-
-
 @dataclass
-class StreamingTrace:
+class StreamingTrace(MergedTimeline):
     """Lazy view of an on-disk multi-rank trace archive.
 
-    Mirrors the :class:`~repro.multirank.tracing.MergedTrace` surface —
-    same ``sync_points`` / ``rank_offsets`` / analyses — but ``events()``
-    is a generator re-reading the location files on every call, so the
+    Shares the alignment results and every analysis with the in-memory
+    :class:`~repro.multirank.tracing.MergedTrace`, but ``events()`` is a
+    generator re-reading the location files on every call, so the
     resident set stays bounded by the readers' buffers.
     """
 
     trace_dir: str
-    ranks: int
-    rank_ids: tuple[int, ...]
-    sync_points: list[SyncPoint]
-    #: final per-rank logical-clock offset == total synchronisation wait
-    rank_offsets: tuple[float, ...]
-    events_per_rank: tuple[int, ...]
-    #: aligned timestamp of each rank's final event
-    last_aligned: tuple[float, ...]
     #: per-rank alignment shift schedules (compute_alignment output)
     schedule: list[list[tuple[float, float]]] = field(repr=False)
     strict: bool = True
 
-    # -- stream access ---------------------------------------------------------
-
-    @property
-    def rank_labels(self) -> tuple[int, ...]:
-        return self.rank_ids
-
-    @property
-    def rank_wait_cycles(self) -> tuple[float, ...]:
-        return self.rank_offsets
-
-    @property
-    def elapsed_cycles(self) -> float:
-        return max(self.last_aligned, default=0.0)
+    # the shared analyses, bound on this class as well so per-class
+    # instrumentation (the perfbench span wrappers) can time the
+    # on-disk post-mortem on its own
+    validate = MergedTimeline.validate
+    wait_states = MergedTimeline.wait_states
+    critical_path = MergedTimeline.critical_path
 
     def rank_stream(self, pos: int) -> Iterator[RankedTraceEvent]:
         """Rank at position ``pos``, aligned and tagged, streamed."""
@@ -113,6 +73,9 @@ class StreamingTrace:
             iter_location(self.trace_dir, self.rank_ids[pos], strict=self.strict),
             self.schedule[pos],
         )
+
+    def timeline(self) -> Iterator[RankedTraceEvent]:
+        return self.events()
 
     def events(self) -> Iterator[RankedTraceEvent]:
         """The merged global timeline, streamed in ``(t, rank)`` order."""
@@ -130,81 +93,6 @@ class StreamingTrace:
             ],
             rank_ids=self.rank_ids,
         )
-
-    # -- consistency -----------------------------------------------------------
-
-    def validate(self) -> list[TraceIssue]:
-        """Same checks as :meth:`MergedTrace.validate`, bounded memory."""
-        issues = list(validate_merge_order(self.events()))
-        for pos, rank in enumerate(self.rank_ids):
-            issues.extend(
-                validate_rank_stream(
-                    rank,
-                    iter_location(self.trace_dir, rank, strict=self.strict),
-                )
-            )
-        return issues
-
-    # -- analyses --------------------------------------------------------------
-
-    def wait_states(self, *, min_wait_cycles: float = 0.0) -> list[WaitInterval]:
-        """Per-rank wait intervals at collectives, largest first.
-
-        Sync points were fixed by the alignment pass, so this needs no
-        event access at all — identical to the in-memory analysis.
-        """
-        labels = self.rank_labels
-        intervals = [
-            WaitInterval(
-                rank=labels[pos],
-                sync_index=sp.index,
-                op=sp.op,
-                begin_cycles=sp.aligned_cycles - wait,
-                end_cycles=sp.aligned_cycles,
-            )
-            for sp in self.sync_points
-            for pos, wait in enumerate(sp.wait_cycles)
-            if wait > min_wait_cycles
-        ]
-        intervals.sort(key=lambda w: (-w.wait_cycles, w.sync_index, w.rank))
-        return intervals
-
-    def critical_path(self):
-        """Critical-path walk; one streamed pass per rank.
-
-        Same segment rule as :meth:`MergedTrace.critical_path` — the
-        per-rank top-region attribution consumes each rank's aligned
-        stream as a generator.
-        """
-        from repro.multirank.tracing import CriticalSegment
-
-        if not any(self.events_per_rank):
-            return []
-        windows = segment_windows(self.sync_points, self.last_aligned)
-        tops = [
-            _top_regions_by_segment(
-                self.rank_stream(pos),
-                [windows[seg][pos] for seg in range(len(windows))],
-            )
-            for pos in range(self.ranks)
-        ]
-        ops = ["start", *[sp.op for sp in self.sync_points], "end"]
-        labels = self.rank_labels
-        segments = []
-        for seg in range(len(ops) - 1):
-            durations = [end - begin for begin, end in windows[seg]]
-            pos = max(range(self.ranks), key=lambda r: (durations[r], -r))
-            segments.append(
-                CriticalSegment(
-                    index=seg,
-                    begin_op=ops[seg],
-                    end_op=ops[seg + 1],
-                    rank=labels[pos],
-                    duration_cycles=durations[pos],
-                    top_region=tops[pos][seg],
-                )
-            )
-        return segments
 
 
 def open_merged_trace(
@@ -228,29 +116,10 @@ def open_merged_trace(
     if not rank_ids:
         raise TraceStoreError(f"no trace locations found in {trace_dir}")
     ids = resolve_rank_ids(len(rank_ids), rank_ids)
-
-    sync_seqs: list[list[tuple[str, float]]] = []
-    counts: list[int] = []
-    last_locals: list[float] = []
-    for rank in ids:
-        sync_seq, count, last_t = _scan_location(trace_dir, rank, strict=strict)
-        sync_seqs.append(sync_seq)
-        counts.append(count)
-        last_locals.append(last_t)
-
-    sync_points, offsets, schedule = compute_alignment(sync_seqs)
-    last_aligned = tuple(
-        last_locals[pos] + _offset_at(schedule[pos], last_locals[pos])
-        for pos in range(len(ids))
+    alignment, schedule = align_scans(
+        ids,
+        [scan_stream(iter_location(trace_dir, rank, strict=strict)) for rank in ids],
     )
     return StreamingTrace(
-        trace_dir=str(trace_dir),
-        ranks=len(ids),
-        rank_ids=ids,
-        sync_points=sync_points,
-        rank_offsets=offsets,
-        events_per_rank=tuple(counts),
-        last_aligned=last_aligned,
-        schedule=schedule,
-        strict=strict,
+        **alignment, trace_dir=str(trace_dir), schedule=schedule, strict=strict
     )

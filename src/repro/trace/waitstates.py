@@ -16,18 +16,20 @@ Point-to-point matching uses the message ids stamped by
 :class:`repro.simmpi.messages.MessageMatcher` (SPMD ring pairing:
 send ``k`` on rank ``r`` ↔ recv ``k`` on rank ``(r+1) % world``), all
 in aligned logical time so cross-rank comparisons are meaningful.
-Works over :class:`~repro.multirank.tracing.MergedTrace` and
-:class:`~repro.trace.streaming.StreamingTrace` alike — the walk is a
-single pass per rank stream.
+Works over any :class:`~repro.multirank.tracing.MergedTimeline`, in
+memory or on disk — the walk is a single pass per rank stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from repro.scorep.tracing import RankedTraceEvent, TraceEventKind
+from repro.scorep.tracing import RankedTraceEvent, TraceEventKind, leave_region
 from repro.simmpi.messages import RECV_OPS, SEND_OPS, ring_partner
+
+if TYPE_CHECKING:
+    from repro.multirank.tracing import MergedTimeline
 
 #: classification kinds, stable for CI assertions
 LATE_SENDER = "late-sender"
@@ -86,13 +88,7 @@ def _walk_rank(
         if ev.kind is TraceEventKind.ENTER:
             stack.append(ev.region)
         elif ev.kind is TraceEventKind.LEAVE:
-            if stack and stack[-1] == ev.region:
-                stack.pop()
-            elif ev.region in stack:
-                while stack and stack[-1] != ev.region:
-                    stack.pop()
-                if stack:
-                    stack.pop()
+            leave_region(stack, ev.region)
         elif ev.kind is TraceEventKind.MPI:
             region = stack[-1] if stack else None
             if ev.mid is not None and ev.region in SEND_OPS:
@@ -109,18 +105,16 @@ def _walk_rank(
 
 
 def classify_wait_states(
-    trace,
+    trace: MergedTimeline,
     *,
     min_wait_cycles: float = 0.0,
     world_ranks: int | None = None,
 ) -> list[ClassifiedWait]:
     """Classify every wait in a merged trace, largest first.
 
-    ``trace`` is a :class:`MergedTrace` or :class:`StreamingTrace`
-    (anything with ``rank_labels``, ``sync_points``, ``wait_states()``
-    and per-rank aligned streams).  ``world_ranks`` names the original
-    world size for degraded runs so ring partners resolve to true rank
-    ids; defaults to ``max(rank_labels) + 1``.
+    ``world_ranks`` names the original world size for degraded runs so
+    ring partners resolve to true rank ids; defaults to
+    ``max(rank_labels) + 1``.
     """
     labels = tuple(trace.rank_labels)
     if world_ranks is None:
@@ -131,8 +125,7 @@ def classify_wait_states(
     recvs_by_key: dict[tuple[int, int], _P2PEvent] = {}
     sync_regions: dict[tuple[int, float, str], str | None] = {}
     for pos, rank in enumerate(labels):
-        stream = _rank_stream(trace, pos)
-        sends, recvs, regions = _walk_rank(rank, stream)
+        sends, recvs, regions = _walk_rank(rank, trace.rank_stream(pos))
         for s in sends:
             sends_by_key[(s.rank, s.mid)] = s
         for r in recvs:
@@ -195,14 +188,6 @@ def classify_wait_states(
         key=lambda w: (-w.wait_cycles, w.rank, w.begin_cycles, w.kind)
     )
     return waits
-
-
-def _rank_stream(trace, pos: int) -> Iterable[RankedTraceEvent]:
-    """Positional aligned stream from either trace flavour."""
-    rank_stream = getattr(trace, "rank_stream", None)
-    if rank_stream is not None:
-        return rank_stream(pos)
-    return trace.per_rank[pos]
 
 
 # -- summaries -------------------------------------------------------------------

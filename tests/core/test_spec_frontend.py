@@ -2,12 +2,25 @@
 
 import pytest
 
-from repro.core.spec.ast import AllExpr, Assign, CallExpr, NumLit, RefExpr, StrLit
+from repro.core.pipeline import compile_spec
+from repro.core.spec.ast import (
+    MAX_SELECTOR_DEPTH,
+    AllExpr,
+    Assign,
+    CallExpr,
+    NumLit,
+    RefExpr,
+    StrLit,
+)
 from repro.core.spec.lexer import tokenize
 from repro.core.spec.modules import ModuleResolver, load_spec
 from repro.core.spec.parser import parse_spec
 from repro.core.spec.tokens import TokenKind
-from repro.errors import ImportResolutionError, SpecSyntaxError
+from repro.errors import (
+    ImportResolutionError,
+    SpecSemanticError,
+    SpecSyntaxError,
+)
 
 PAPER_LISTING_1 = """
 !import("mpi.capi")
@@ -16,6 +29,30 @@ inlineSpecified(%%))
 kernels = flops(">=", 10, loopDepth(">=" 1, %%))
 join(subtract(%kernels, %excluded), %mpi_comm)
 """
+
+
+def nested_spec(depth):
+    """``join`` calls nested ``depth`` deep in one expression."""
+    return "join(" * depth + "%%" + ", %%)" * depth
+
+
+def chained_spec(links):
+    """``links`` named instances, each one ``join`` over the previous."""
+    lines = ["a1 = join(%%, %%)"]
+    lines += [f"a{i} = join(%a{i - 1}, %%)" for i in range(2, links + 1)]
+    return "\n".join(lines)
+
+
+#: one level past the bound, and depths that used to overflow Python's
+#: recursion limit in the parser, the service or ``Capi.select``
+OVER_DEEP = [
+    (nested_spec, MAX_SELECTOR_DEPTH + 1),
+    (nested_spec, 600),
+    (nested_spec, 1200),
+    (chained_spec, MAX_SELECTOR_DEPTH + 1),
+    (chained_spec, 198),
+    (chained_spec, 248),
+]
 
 
 class TestLexer:
@@ -122,6 +159,36 @@ class TestParser:
 
         with pytest.raises(SpecSemanticError):
             parse_spec("").entry
+
+
+class TestDepthBound:
+    """Over-deep specs are typed errors, not a RecursionError."""
+
+    def test_nesting_past_the_bound_names_the_call(self):
+        with pytest.raises(SpecSyntaxError, match="nested deeper") as err:
+            parse_spec(nested_spec(MAX_SELECTOR_DEPTH + 1))
+        # the innermost call crosses the bound: five characters per level
+        assert (err.value.line, err.value.column) == (
+            1, 5 * MAX_SELECTOR_DEPTH + 1
+        )
+
+    @pytest.mark.parametrize("make_spec, depth", OVER_DEEP)
+    def test_over_deep_spec_is_a_typed_error(self, make_spec, depth):
+        with pytest.raises((SpecSyntaxError, SpecSemanticError)):
+            compile_spec(make_spec(depth))
+
+    def test_chain_past_the_bound_names_the_selector(self):
+        link = MAX_SELECTOR_DEPTH + 1
+        with pytest.raises(SpecSemanticError, match=f"'a{link}'"):
+            compile_spec(chained_spec(link))
+
+    def test_nesting_and_chaining_add_up(self):
+        half = MAX_SELECTOR_DEPTH // 2
+        spec = chained_spec(half) + "\n" + nested_spec(half + 1).replace(
+            "%%", f"%a{half}", 1
+        )
+        with pytest.raises(SpecSemanticError, match="'join'"):
+            compile_spec(spec)
 
 
 class TestImports:

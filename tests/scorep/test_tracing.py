@@ -12,6 +12,7 @@ from repro.scorep.tracing import (
     tag_events,
     validate_trace,
 )
+from repro.trace import TraceWriter, load_location
 
 
 @pytest.fixture
@@ -57,52 +58,25 @@ class TestRecording:
 
 
 class TestPersistence:
-    def test_save_load_roundtrip(self, tracer, tmp_path):
-        tracer.enter("main")
-        tracer.mpi("MPI_Barrier")
-        tracer.leave("main")
-        path = tmp_path / "trace.jsonl"
-        assert tracer.save(path) == 3
-        loaded = ScorePTracer.load(path)
-        assert loaded == tracer.all_events()
-
-    def test_roundtrip_preserves_kinds_and_timestamps_exactly(
-        self, tracer, tmp_path
-    ):
-        tracer.enter("main")
-        tracer.clock.advance(123.456)
-        tracer.enter("solve")
-        tracer.mpi("MPI_Allreduce")
-        tracer.leave("solve")
-        tracer.clock.advance(0.25)
-        tracer.leave("main")
-        path = tmp_path / "trace.jsonl"
-        tracer.save(path)
-        loaded = ScorePTracer.load(path)
-        original = tracer.all_events()
-        assert len(loaded) == len(original)
-        assert [e.kind for e in loaded] == [e.kind for e in original]
-        assert [e.region for e in loaded] == [e.region for e in original]
-        # timestamps must survive bit-exactly (JSON floats round-trip)
-        assert [e.timestamp_cycles for e in loaded] == [
-            e.timestamp_cycles for e in original
-        ]
-
     def test_roundtrip_across_buffer_flush_threshold(self, tmp_path):
-        """A trace that flushed mid-run serialises flushed + live events
-        in recording order, and the count survives exactly."""
-        tracer = ScorePTracer(clock=VirtualClock(), buffer_size=8)
-        for i in range(10):
-            tracer.enter(f"r{i}")
-            tracer.mpi("MPI_Barrier")
-            tracer.leave(f"r{i}")
+        """A tracer whose buffer fills mid-run spills each full buffer
+        to its archive writer; closing the writer adds the live tail, and
+        the archive reads back as exactly the stream an in-memory tracer
+        records."""
+        tracer = ScorePTracer(
+            clock=VirtualClock(), buffer_size=8, writer=TraceWriter(tmp_path, 0)
+        )
+        in_memory = ScorePTracer(clock=VirtualClock(), buffer_size=8)
+        for rec in (tracer, in_memory):
+            for i in range(10):
+                rec.enter(f"r{i}")
+                rec.mpi("MPI_Barrier")
+                rec.leave(f"r{i}")
         assert tracer.flush_count >= 3
         assert tracer.events  # live tail not yet flushed
-        path = tmp_path / "trace.jsonl"
-        count = tracer.save(path)
-        assert count == 30
-        loaded = ScorePTracer.load(path)
-        assert loaded == tracer.all_events()
+        assert tracer.close_writer().events == 30
+        loaded = load_location(tmp_path, 0)
+        assert loaded == in_memory.all_events()
         stamps = [e.timestamp_cycles for e in loaded]
         assert stamps == sorted(stamps)
 

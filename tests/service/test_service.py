@@ -7,9 +7,11 @@ import pytest
 
 from repro.cg.graph import NodeMeta
 from repro.core.pipeline import compile_spec, evaluate_pipeline
+from repro.core.spec.ast import MAX_SELECTOR_DEPTH
 from repro.errors import CapiError, ServiceClosedError, ServiceError
 from repro.service import GraphStore, SelectionService
 
+from tests.core.test_spec_frontend import OVER_DEEP, chained_spec, nested_spec
 from tests.service.test_graph_store import SPECS, make_graph
 
 REACH = 'onCallPathFrom(byName("main", %%))'
@@ -74,6 +76,20 @@ class TestQueries:
             with pytest.raises(Exception):
                 bad.result(timeout=30.0)
             assert service.select("g", SPECS[0]).selection.selected
+
+    @pytest.mark.parametrize("make_spec, depth", OVER_DEEP)
+    def test_over_deep_spec_fails_that_request_only(self, make_spec, depth):
+        with make_service() as service:
+            with pytest.raises(CapiError):
+                service.select("g", make_spec(depth))
+            assert service.select("g", SPECS[0]).selection.selected
+
+    @pytest.mark.parametrize("make_spec", [nested_spec, chained_spec])
+    def test_spec_at_the_depth_bound_evaluates(self, make_spec):
+        with make_service() as service:
+            at_bound = service.select("g", make_spec(MAX_SELECTOR_DEPTH))
+            everything = service.store.graph("g").node_names()
+            assert at_bound.selection.selected == everything
 
 
 class TestEdits:

@@ -90,7 +90,7 @@ class TestRunAppModes:
         assert a.result.t_total == b.result.t_total
         assert a.result.entry_events == b.result.entry_events
 
-    def test_tracing_mode(self, demo_app, demo_ic, tmp_path):
+    def test_tracing_mode(self, demo_app, demo_ic):
         from repro.scorep.tracing import TraceEventKind, validate_trace
 
         out = run_app(
@@ -110,9 +110,6 @@ class TestRunAppModes:
             demo_app, mode="ic", tool="scorep", ic=demo_ic, workload=WL
         )
         assert out.result.t_total > plain.result.t_total
-        path = tmp_path / "trace.jsonl"
-        out.tracer.save(path)
-        assert path.exists()
 
     def test_tracing_needs_scorep_on_every_path(self, demo_app, demo_ic):
         """tracing with a non-scorep tool fails loudly on the single-rank

@@ -20,6 +20,7 @@ from repro.trace import (
 )
 from repro.workflow import build_app, run_app
 from tests.conftest import make_demo_builder
+from tests.trace.test_streaming import assert_equivalent
 
 WL = Workload(site_cap=4)
 
@@ -64,11 +65,7 @@ class TestMultiRankArchive:
     def test_streaming_merge_bit_identical(self, archive):
         td, out = archive
         streamed = open_merged_trace(td)
-        assert list(streamed.events()) == list(out.merged_trace.events)
-        assert streamed.sync_points == out.merged_trace.sync_points
-        assert streamed.rank_offsets == out.merged_trace.rank_offsets
-        assert streamed.wait_states() == out.merged_trace.wait_states()
-        assert streamed.critical_path() == out.merged_trace.critical_path()
+        assert_equivalent(streamed, out.merged_trace)
         assert streamed.validate() == []
 
     def test_watchdog_silent_on_healthy_archive(self, archive):
@@ -141,7 +138,7 @@ class TestFaultsOnDisk:
         )
         assert out.health.retried_ranks
         streamed = open_merged_trace(tmp_path)
-        assert list(streamed.events()) == list(out.merged_trace.events)
+        assert_equivalent(streamed, out.merged_trace)
         assert streamed.validate() == []
 
     def test_rank_loss_leaves_degraded_archive(
@@ -159,7 +156,7 @@ class TestFaultsOnDisk:
         assert lost[0] not in defs.locations
         streamed = open_merged_trace(tmp_path)
         assert streamed.rank_ids == defs.locations
-        assert list(streamed.events()) == list(out.merged_trace.events)
+        assert_equivalent(streamed, out.merged_trace)
         # health.json rode along; the watchdog reports the loss
         health = read_health_record(tmp_path)
         assert health is not None and health.missing_ranks == lost

@@ -9,7 +9,12 @@ crossings, defective streams — are exact and fast.
 import pytest
 
 from repro.multirank import merge_rank_traces
-from repro.trace import TraceStoreError, load_location, open_merged_trace
+from repro.trace import (
+    TraceStoreError,
+    classify_wait_states,
+    load_location,
+    open_merged_trace,
+)
 from tests.trace.conftest import E, L, M, ev, write_archive
 
 
@@ -43,6 +48,10 @@ def assert_equivalent(streamed, merged):
     assert streamed.wait_states() == merged.wait_states()
     assert streamed.critical_path() == merged.critical_path()
     assert streamed.validate() == merged.validate()
+    assert classify_wait_states(streamed) == classify_wait_states(merged)
+    assert streamed.render() == merged.render()
+    assert streamed.elapsed_cycles == merged.elapsed_cycles
+    assert streamed.last_aligned == merged.last_aligned
 
 
 class TestBitIdentity:
@@ -103,7 +112,7 @@ class TestBitIdentity:
         write_archive(tmp_path, streams)
         merged = merge_rank_traces([streams[0], streams[1]])
         streamed = open_merged_trace(tmp_path)
-        assert streamed.validate() == merged.validate()
+        assert_equivalent(streamed, merged)
         codes = sorted(i.code for i in streamed.validate())
         assert codes == ["unbalanced-leave", "unclosed-region"]
 
