@@ -8,7 +8,7 @@ encoding of Fig. 4.
 import pytest
 
 from repro.dyncapi.runtime import DynCapi
-from repro.dyncapi.symbols import build_id_name_map
+from repro.dyncapi.symbols import build_id_name_map, collect_all_symbols
 from repro.execution.clock import VirtualClock
 from repro.program.loader import DynamicLoader
 from repro.xray.ids import PackedId
@@ -42,7 +42,9 @@ def test_id_name_mapping(benchmark, wired_openfoam):
     """Symbol collection + __xray_function_address cross-check."""
     dyn, loader = wired_openfoam
     dyn.startup_inactive()
-    id_map = benchmark(lambda: build_id_name_map(dyn.xray, loader))
+    id_map = benchmark(
+        lambda: build_id_name_map(dyn.xray, collect_all_symbols(loader))
+    )
     assert len(id_map.names) > 0
     assert id_map.unresolved_count > 0  # hidden DSO functions
 

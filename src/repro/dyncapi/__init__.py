@@ -1,7 +1,7 @@
 """DynCaPI: startup patching per IC + measurement-tool bridges."""
 
 from repro.dyncapi.handlers import CygProfileDispatcher
-from repro.dyncapi.runtime import DynCapi, StartupReport
+from repro.dyncapi.runtime import DynCapi, ProcessState, StartupReport, process_state
 from repro.dyncapi.scorep_bridge import ScorePBridge
 from repro.dyncapi.symbols import (
     IdNameMap,
@@ -16,6 +16,7 @@ __all__ = [
     "CygProfileDispatcher",
     "DynCapi",
     "IdNameMap",
+    "ProcessState",
     "ScorePBridge",
     "StartupReport",
     "SymbolTriple",
@@ -23,4 +24,5 @@ __all__ = [
     "build_id_name_map",
     "collect_all_symbols",
     "collect_object_symbols",
+    "process_state",
 ]

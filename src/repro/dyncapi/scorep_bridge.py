@@ -10,9 +10,10 @@ runtime, restoring DSO resolution.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
-from repro.dyncapi.symbols import collect_object_symbols
+from repro.dyncapi.symbols import SymbolTriple
 from repro.execution.clock import VirtualClock
 from repro.execution.costs import CostModel
 from repro.program.loader import DynamicLoader
@@ -50,21 +51,23 @@ class ScorePBridge:
 
     # -- symbol injection -------------------------------------------------------
 
-    def inject_dso_symbols(self) -> int:
+    def inject_dso_symbols(
+        self, symbols: Mapping[str, Sequence[SymbolTriple]]
+    ) -> int:
         """Feed translated DSO symbol addresses to the resolver.
 
+        ``symbols`` are the per-object triples DynCaPI collected at
+        start-up (:attr:`~repro.dyncapi.runtime.ProcessState.symbols`).
         Returns the number of injected symbols.  Without this call,
         every DSO event resolves to an UNKNOWN placeholder — the
         pre-injection Score-P behaviour.
         """
         assert self.resolver is not None
         count = 0
-        for lo in self.loader.loaded.values():
+        for name, lo in self.loader.loaded.items():
             if not lo.binary.is_dso:
                 continue
-            triples = [
-                (t.name, t.address, t.size) for t in collect_object_symbols(lo)
-            ]
+            triples = [(t.name, t.address, t.size) for t in symbols[name]]
             self.resolver.inject_symbols(triples)
             count += len(triples)
         return count

@@ -14,14 +14,17 @@ is exempt (its on-disk symbol table is fully readable).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.program.loader import DynamicLoader, LoadedObject
 from repro.xray.ids import PackedId
 from repro.xray.runtime import XRayRuntime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolTriple:
     name: str
     address: int
@@ -48,14 +51,17 @@ def collect_all_symbols(loader: DynamicLoader) -> dict[str, list[SymbolTriple]]:
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdNameMap:
-    """Bidirectional packed-id ↔ name mapping with unresolved tracking."""
+    """Bidirectional packed-id ↔ name mapping with unresolved tracking.
 
-    names: dict[PackedId, str] = field(default_factory=dict)
-    ids: dict[str, PackedId] = field(default_factory=dict)
+    Immutable, so every process cloned from one program shares it.
+    """
+
+    names: Mapping[PackedId, str] = field(default_factory=dict)
+    ids: Mapping[str, PackedId] = field(default_factory=dict)
     #: packed ids whose sled address matched no collected symbol
-    unresolved: list[PackedId] = field(default_factory=list)
+    unresolved: tuple[PackedId, ...] = ()
 
     def name_of(self, packed: PackedId) -> str | None:
         return self.names.get(packed)
@@ -69,47 +75,36 @@ class IdNameMap:
 
 
 def build_id_name_map(
-    runtime: XRayRuntime, loader: DynamicLoader
+    runtime: XRayRuntime, symbols: Mapping[str, Sequence[SymbolTriple]]
 ) -> IdNameMap:
     """Cross-check XRay function addresses against collected symbols.
 
     For every registered object and function id, query
-    ``__xray_function_address`` and find the covering symbol.  Functions
-    without a matching symbol (hidden in a DSO) land in ``unresolved``.
+    ``__xray_function_address`` and find the covering symbol among the
+    object's triples in ``symbols`` (:func:`collect_all_symbols`).
+    Functions without a matching symbol (hidden in a DSO) land in
+    ``unresolved``.
     """
-    out = IdNameMap()
-    per_object = {
-        name: sorted(triples, key=lambda t: t.address)
-        for name, triples in collect_all_symbols(loader).items()
-    }
+    names: dict[PackedId, str] = {}
+    ids: dict[str, PackedId] = {}
+    unresolved: list[PackedId] = []
     for obj in runtime.objects():
-        triples = per_object.get(obj.name, [])
+        triples = sorted(symbols.get(obj.name, ()), key=lambda t: t.address)
+        starts = [t.address for t in triples]
         for fid in sorted(obj.function_names):
             packed = PackedId(obj.object_id, fid)
             address = runtime.function_address(packed)
-            symbol = _covering(triples, address)
-            if symbol is None:
-                out.unresolved.append(packed)
+            pos = bisect_right(starts, address) - 1
+            symbol = triples[pos] if pos >= 0 else None
+            if symbol is None or address >= symbol.address + max(symbol.size, 1):
+                unresolved.append(packed)
                 continue
-            out.names[packed] = symbol.name
-            out.ids[symbol.name] = packed
-    return out
-
-
-def _covering(
-    triples: list[SymbolTriple], address: int
-) -> SymbolTriple | None:
-    """Binary search for the symbol whose range covers ``address``."""
-    lo, hi = 0, len(triples)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if triples[mid].address <= address:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo == 0:
-        return None
-    cand = triples[lo - 1]
-    if cand.address <= address < cand.address + max(cand.size, 1):
-        return cand
-    return None
+            names[packed] = symbol.name
+            ids[symbol.name] = packed
+    # start-up matches the IC by name, so a name must never stand for two ids
+    assert len(ids) == len(names), "function names and ids must map one to one"
+    return IdNameMap(
+        names=MappingProxyType(names),
+        ids=MappingProxyType(ids),
+        unresolved=tuple(unresolved),
+    )

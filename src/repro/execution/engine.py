@@ -27,6 +27,16 @@ charged)`` workload split.  All caches that depend on sled state
 patch epoch — the patcher's cumulative patch/unpatch counter — so
 mid-run repatching by the DynCaPI runtime can never serve stale costs.
 
+What the engine derives from the program alone is kept on the linked
+program (:func:`~repro.program.loader.program_cache`) per loaded layout
+— object names and bases — and shared by every run over that layout:
+the function map, the call-target cache, the once-per-run spine and the
+static initialisers.  Per-function records (which also carry the
+function's sled addresses) depend on the :class:`Workload`, so only the
+most recent workload's are kept, in a single slot: a multi-rank world
+gives every rank its own ``root_scale``, and a cache keyed by workload
+would grow with every rank.
+
 The walk itself is an explicit work-stack loop (one ``_Frame`` per open
 function invocation) rather than Python recursion, so the dynamic call
 depth is bounded only by :attr:`Workload.max_depth` — deep wrapper
@@ -46,7 +56,7 @@ from repro.execution.result import RunResult
 from repro.execution.workload import Workload
 from repro.program.ir import CallKind, SourceProgram, resolve_call_targets
 from repro.program.linker import LinkedProgram
-from repro.program.loader import LoadedObject
+from repro.program.loader import LoadedObject, program_cache
 from repro.program.machine import FUNCTION_HEADER_BYTES, MachineCallSite, MachineFunction
 from repro.simmpi.pmpi import PmpiLayer
 from repro.xray.runtime import XRayRuntime
@@ -87,7 +97,7 @@ class _SiteRecord:
 class _FnRecord:
     """Per-function execution record: everything ``_execute`` touches."""
 
-    __slots__ = ("mf", "name", "base_cost", "is_mpi", "sites")
+    __slots__ = ("mf", "name", "base_cost", "is_mpi", "sites", "sleds")
 
     mf: MachineFunction
     name: str
@@ -95,6 +105,8 @@ class _FnRecord:
     is_mpi: bool
     #: resolved call sites; sites without targets are dropped up front
     sites: list[_SiteRecord]
+    #: absolute (entry, exit) sled addresses; None without sleds
+    sleds: tuple[int, int] | None
 
 
 class _Frame:
@@ -116,6 +128,48 @@ class _Frame:
 
 
 _NO_SITES: list[_SiteRecord] = []
+
+
+class _LayoutTables:
+    """What engines derive from one loaded layout of one linked program."""
+
+    __slots__ = (
+        "functions", "target_cache", "root_region", "initializers",
+        "workload", "records",
+    )
+
+    def __init__(self, loaded: list[LoadedObject]) -> None:
+        self.functions: dict[str, MachineFunction] = {}
+        for lo in loaded:
+            self.functions.update(lo.binary.functions)
+        #: static initialisers in object-load order (executable first)
+        self.initializers = [
+            mf.name
+            for lo in loaded
+            for mf in sorted(lo.binary.functions.values(), key=lambda f: f.offset)
+            if mf.is_static_initializer
+        ]
+        #: (callee, kind, pointer_id) -> rotated target tuple
+        self.target_cache: dict[tuple, tuple[str, ...]] = {}
+        self.root_region: set[str] | None = None
+        #: the single slot: per-function records of ``workload`` only
+        self.workload: Workload | None = None
+        self.records: dict[str, _FnRecord | None] = {}
+
+    @classmethod
+    def of(cls, linked: LinkedProgram, loaded: list[LoadedObject]) -> "_LayoutTables":
+        layouts = program_cache(linked).layouts
+        key = tuple((lo.binary.name, lo.base) for lo in loaded)
+        tables = layouts.get(key)
+        if tables is None:
+            tables = layouts[key] = cls(loaded)
+        return tables
+
+    def records_for(self, workload: Workload) -> dict[str, "_FnRecord | None"]:
+        if workload != self.workload:
+            self.workload = workload
+            self.records = {}
+        return self.records
 
 
 class _NeverStore(dict):
@@ -145,25 +199,18 @@ class ExecutionEngine:
     handler_extra: float = 0.0
 
     def __post_init__(self) -> None:
-        self._functions: dict[str, MachineFunction] = {}
-        self._sled_addrs: dict[str, tuple[int, int]] = {}
-        for lo in self.loaded:
-            for mf in lo.binary.functions.values():
-                self._functions[mf.name] = mf
-                if mf.xray_instrumented:
-                    entry = lo.base + mf.offset + FUNCTION_HEADER_BYTES
-                    exit_ = lo.base + mf.offset + mf.size_bytes - SLED_BYTES
-                    self._sled_addrs[mf.name] = (entry, exit_)
+        self._tables = _LayoutTables.of(self.linked, self.loaded)
+        self._functions = self._tables.functions
         self._program: SourceProgram = self.linked.compiled.program
         #: (callee, kind, pointer_id) -> rotated target tuple
-        self._target_cache: dict[tuple, tuple[str, ...]] = {}
+        self._target_cache = self._tables.target_cache
         #: function name -> _FnRecord (or None for fully-inlined targets)
-        self._records: dict[str, _FnRecord | None] = {}
+        self._records = self._tables.records_for(self.workload)
         self._patched_cache: dict[str, bool] = {}
         self._analytic_memo: dict[str, _AnalyticTotals] = {}
         #: XRay patch epoch the sled-state caches were computed under
         self._cache_epoch = self._patch_epoch()
-        #: once-per-run spine (root_scale scope), computed on demand
+        #: once-per-run spine (root_scale scope), checked on first use
         self._root_region_set: set[str] | None = None
         self._result: RunResult | None = None
 
@@ -178,7 +225,10 @@ class ExecutionEngine:
         )
         self._result = result
         start = self.clock.now()
-        for name in self._static_initializers():
+        if self.workload.root_scale != 1.0:
+            # kept records skip the spine lookup; check (and warn) per run
+            self._root_region()
+        for name in self._tables.initializers:
             self._execute(name, depth=0)
         entry = self._program.entry
         if entry not in self._functions:
@@ -272,7 +322,21 @@ class ExecutionEngine:
             base_cost=mf.base_cost,
             is_mpi=mf.is_mpi,
             sites=sites,
+            sleds=self._sled_addresses(mf),
         )
+
+    def _sled_addresses(self, mf: MachineFunction) -> tuple[int, int] | None:
+        """Absolute (entry, exit) sled addresses of ``mf`` as loaded."""
+        if not mf.xray_instrumented:
+            return None
+        for lo in self.loaded:
+            if lo.binary.functions.get(mf.name) is mf:
+                start = lo.base + mf.offset
+                return (
+                    start + FUNCTION_HEADER_BYTES,
+                    start + mf.size_bytes - SLED_BYTES,
+                )
+        return None
 
     def _root_region(self) -> set[str]:
         """The once-per-run spine: where ``root_scale`` applies.
@@ -289,6 +353,27 @@ class ExecutionEngine:
         """
         if self._root_region_set is not None:
             return self._root_region_set
+        region = self._tables.root_region
+        if region is None:
+            region = self._tables.root_region = self._spine()
+        self._root_region_set = region
+        if self.workload.root_scale != 1.0 and not self._spine_has_scalable_site(
+            region
+        ):
+            import warnings
+
+            warnings.warn(
+                f"Workload.root_scale={self.workload.root_scale} has no "
+                f"effect on {self._program.name!r}: every call site of the "
+                f"once-per-run spine is itself a spine link, so no "
+                f"iteration count can be scaled (per-rank imbalance will "
+                f"report a load balance of 1.0)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        return region
+
+    def _spine(self) -> set[str]:
         # target -> caller names over every machine call site
         callers: dict[str, list[str]] = {}
         for mf in self._functions.values():
@@ -312,21 +397,6 @@ class ExecutionEngine:
                 if len(names) == 1 and names[0] == mf.name:
                     region.add(target)
                     frontier.append(target)
-        self._root_region_set = region
-        if self.workload.root_scale != 1.0 and not self._spine_has_scalable_site(
-            region
-        ):
-            import warnings
-
-            warnings.warn(
-                f"Workload.root_scale={self.workload.root_scale} has no "
-                f"effect on {self._program.name!r}: every call site of the "
-                f"once-per-run spine is itself a spine link, so no "
-                f"iteration count can be scaled (per-rank imbalance will "
-                f"report a load balance of 1.0)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
         return region
 
     def _spine_has_scalable_site(self, region: set[str]) -> bool:
@@ -344,15 +414,6 @@ class ExecutionEngine:
         return False
 
     # -- execution -------------------------------------------------------------
-
-    def _static_initializers(self) -> list[str]:
-        """Initialisers in object-load order (executable first, then DSOs)."""
-        names = []
-        for lo in self.loaded:
-            for mf in sorted(lo.binary.functions.values(), key=lambda f: f.offset):
-                if mf.is_static_initializer:
-                    names.append(mf.name)
-        return names
 
     def _enter(self, name: str, depth: int) -> _Frame | None:
         """Process one function entry; returns the frame to descend into.
@@ -372,7 +433,7 @@ class ExecutionEngine:
         result.entry_events += 1
         calls = result.per_function_calls
         calls[name] = calls.get(name, 0) + 1
-        self._fire_sled(rec.mf, entry=True)
+        self._fire_sled(rec, entry=True)
         base_cost = rec.base_cost
         self.clock.advance(base_cost)
         result.useful_cycles += base_cost
@@ -413,7 +474,7 @@ class ExecutionEngine:
                     frame.i = 0
                     continue
                 result.exit_events += 1
-                self._fire_sled(frame.rec.mf, entry=False)
+                self._fire_sled(frame.rec, entry=False)
                 stack.pop()
                 continue
             if frame.i < frame.walked:
@@ -441,11 +502,9 @@ class ExecutionEngine:
 
     # -- sleds --------------------------------------------------------------------
 
-    def _fire_sled(self, mf: MachineFunction, *, entry: bool) -> None:
-        if self.xray_runtime is None or not mf.xray_instrumented:
-            return
-        addrs = self._sled_addrs.get(mf.name)
-        if addrs is None:
+    def _fire_sled(self, rec: _FnRecord, *, entry: bool) -> None:
+        addrs = rec.sleds
+        if self.xray_runtime is None or addrs is None:
             return
         fired = self.xray_runtime.fire_sled(addrs[0] if entry else addrs[1])
         if fired:
@@ -474,7 +533,8 @@ class ExecutionEngine:
         self._check_sled_caches()
         cached = self._patched_cache.get(name)
         if cached is None:
-            addrs = self._sled_addrs.get(name)
+            rec = self._record_of(name)
+            addrs = rec.sleds if rec is not None else None
             cached = bool(
                 addrs and self.xray_runtime.patcher.read_sled(addrs[0]) is not None
             )

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.ic import InstrumentationConfig
+from repro.dyncapi.runtime import process_state
 from repro.errors import CapiError, DegradedResultError
 from repro.execution.costs import CostModel
 from repro.execution.result import RunResult
@@ -349,6 +350,10 @@ def run_multirank(
         trace_dir=trace_dir,
     )
     resolved = resolve_backend(backend, processes=processes)
+    if mode != "vanilla":
+        # build the start-up state here, before a pool forks, so every
+        # rank clones the parent's copy instead of building its own
+        process_state(built.linked)
     per_rank = resolved.map_ranks(built, tasks)
     per_rank.sort(key=lambda r: r.rank)
 

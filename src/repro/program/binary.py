@@ -19,6 +19,7 @@ from typing import Iterator
 from repro.errors import LinkError
 from repro.program.ir import Visibility
 from repro.program.machine import MachineFunction
+from repro.xray.sled import SLED_BYTES, UNPATCHED
 
 
 class ObjectKind(enum.Enum):
@@ -108,10 +109,24 @@ class BinaryObject:
     function_ids: dict[int, str] = field(default_factory=dict)
     pic: bool = True
     image_size: int = 0
+    _text: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def is_dso(self) -> bool:
         return self.kind is ObjectKind.SHARED_OBJECT
+
+    @property
+    def text(self) -> bytes:
+        """The object's text image as the file holds it: ``image_size``
+        bytes with every sled's NOPs in place (the compiler emits them,
+        so nothing at load time has to).  Rendered once, on first use —
+        linking alone never needs it."""
+        if self._text is None:
+            image = bytearray(self.image_size)
+            for record in self.sled_records:
+                image[record.offset : record.offset + SLED_BYTES] = UNPATCHED
+            self._text = bytes(image)
+        return self._text
 
     def dynamic_symbols(self) -> list[Symbol]:
         """Loader-visible symbols (hidden visibility filtered out)."""

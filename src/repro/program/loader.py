@@ -2,9 +2,14 @@
 
 Models the parts of ``ld.so`` the paper's xray-dso extension interacts
 with: base-address assignment (DSOs are relocated away from their
-preferred base), ``dlopen``/``dlclose`` for runtime (un)loading, and the
-writing of sled NOP bytes into the mapped text so patching operates on
-real page-protected memory.
+preferred base) and ``dlopen``/``dlclose`` for runtime (un)loading.
+Loading maps a copy of each object's text image, which already carries
+its sleds' NOP bytes as an ELF file does (:attr:`BinaryObject.text`), so
+patching operates on real page-protected memory and loading itself
+writes nothing and calls no ``mprotect``.
+
+:func:`program_cache` keeps what runs derive from a linked program alone
+on the program itself, so a run clones it instead of rebuilding it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from repro.errors import LoaderError
 from repro.program.binary import BinaryObject
 from repro.program.linker import LinkedProgram
 from repro.program.memory import MappedRegion, ProcessImage
-from repro.xray.sled import SLED_BYTES, UNPATCHED
 
 
 @dataclass
@@ -57,8 +61,8 @@ class DynamicLoader:
         if binary.name in self.loaded:
             raise LoaderError(f"object {binary.name!r} already loaded")
         region = self.image.map_region(binary.name, binary.image_size)
+        region.data[:] = binary.text
         lo = LoadedObject(binary=binary, region=region)
-        self._write_sleds(lo)
         self.loaded[binary.name] = lo
         return lo
 
@@ -86,16 +90,30 @@ class DynamicLoader:
                 return lo
         raise LoaderError(f"no loaded object contains address {address:#x}")
 
-    # -- internals ------------------------------------------------------------
 
-    def _write_sleds(self, lo: LoadedObject) -> None:
-        """Initialise every sled with NOP bytes in the mapped text.
+class ProgramCache:
+    """What runs derive from one linked program alone, kept on it.
 
-        The loader writes the image before protection is dropped to
-        read-only/execute, so it bypasses the patching protection path.
-        """
-        for record in lo.binary.sled_records:
-            addr = lo.sled_address(record)
-            self.image.mprotect(addr, SLED_BYTES, writable=True)
-            self.image.write(addr, UNPATCHED)
-            self.image.mprotect(addr, SLED_BYTES, writable=False)
+    ``startup`` holds DynCaPI's start-up state
+    (:class:`repro.dyncapi.runtime.ProcessState`) and ``layouts`` the
+    execution engine's tables per loaded layout.  Both are built on
+    first use.  Pickling drops them, so a spawned worker rebuilds them
+    instead of receiving them; a forked one inherits them.
+    """
+
+    __slots__ = ("startup", "layouts")
+
+    def __init__(self) -> None:
+        self.startup = None
+        self.layouts: dict = {}
+
+    def __reduce__(self):
+        return (ProgramCache, ())
+
+
+def program_cache(linked: LinkedProgram) -> ProgramCache:
+    """The :class:`ProgramCache` of ``linked`` (created empty on first use)."""
+    cache = linked.__dict__.get("_cache")
+    if cache is None:
+        cache = linked.__dict__["_cache"] = ProgramCache()
+    return cache

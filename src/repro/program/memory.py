@@ -58,6 +58,10 @@ class ProcessImage:
     _next_base: int = 0x400000  # conventional ELF load address
     #: Statistics: mprotect invocations (patching cost model input).
     mprotect_calls: int = 0
+    #: Successful ``write`` calls so far.  A reader that keeps decoded
+    #: bytes (the sled patcher's table) compares it with the count it
+    #: last saw to notice writes it did not make itself.
+    writes: int = 0
 
     # -- mapping --------------------------------------------------------------
 
@@ -131,3 +135,4 @@ class ProcessImage:
                 )
         offset = address - region.base
         region.data[offset : offset + len(payload)] = payload
+        self.writes += 1

@@ -366,8 +366,16 @@ def run_app(
     cm = cost_model or CostModel()
     clock = VirtualClock()
     workload = workload or Workload()
-    loader = DynamicLoader()
-    loaded = loader.load_program(built.linked)
+    dyn: DynCapi | None = None
+    if mode == "vanilla":
+        loader = DynamicLoader()
+        loaded = loader.load_program(built.linked)
+    else:
+        # a fresh process, cloned from what the program keeps: start-up
+        # then costs what this run changes, not what the program holds
+        dyn = DynCapi.for_program(built.linked, clock=clock, cost_model=cm)
+        loader = dyn.loader
+        loaded = list(loader.loaded.values())
 
     world = MpiWorld(size=ranks)
     pmpi = PmpiLayer(SimComm(world))
@@ -383,9 +391,8 @@ def run_app(
 
         trace_writer = TraceWriter(trace_dir, trace_location)
 
-    if mode != "vanilla":
-        xray_rt = XRayRuntime(loader.image)
-        dyn = DynCapi(xray=xray_rt, loader=loader, clock=clock, cost_model=cm)
+    if dyn is not None:
+        xray_rt = dyn.xray
         if mode == "inactive":
             startup = dyn.startup_inactive()
         else:
@@ -436,6 +443,11 @@ def run_app(
         ),
     )
     result = engine.run(config_name=config_name)
+    if xray_rt is not None:
+        # __xray_remove_handler at tool exit.  The handler is a bound
+        # method of a bridge that holds the runtime; left installed, the
+        # cycle would keep this process alive until a full collection.
+        xray_rt.set_handler(None)
     result.t_init_cycles = startup.init_cycles if startup else 0.0
     outcome.result = result
     outcome.startup = startup
@@ -574,7 +586,7 @@ def _install_tool(
             tracer=tracer,
         )
         if symbol_injection:
-            bridge.inject_dso_symbols()
+            bridge.inject_dso_symbols(dyn.process.symbols)
         pmpi.register(measurement)
         if tracer is not None:
             pmpi.register(_MpiTraceMarker(tracer))

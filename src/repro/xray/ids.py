@@ -30,7 +30,7 @@ MAX_DSOS = MAX_OBJECT_ID
 MAX_FUNCTION_ID = (1 << FUNCTION_BITS) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PackedId:
     """An (object id, function id) pair with its 32-bit packed encoding."""
 

@@ -15,7 +15,12 @@ paper's additions:
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right, insort
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterator
 
 from repro.errors import ObjectRegistrationError, PatchingError, XRayError
@@ -35,42 +40,68 @@ from repro.xray.trampoline import (
 )
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SledEntry:
-    """One sled resolved to its absolute address."""
+    """One sled resolved to its absolute address (made on demand)."""
 
     record: SledRecord
     address: int
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class RegisteredObject:
-    """Bookkeeping for one patchable object known to the runtime."""
+    """Bookkeeping for one patchable object known to the runtime.
+
+    Immutable, so every process cloned from one registration
+    (:meth:`XRayRuntime.restore`) can share it.
+    """
 
     object_id: int
     name: str
     base: int
     relocated: bool
-    sleds: list[SledEntry]
+    #: the object's sled table, ordered by function id
+    records: tuple[SledRecord, ...]
     entry_trampoline: Trampoline
     exit_trampoline: Trampoline
     #: object-local function id -> name (from the object's id table)
-    function_names: dict[int, str]
+    function_names: Mapping[int, str]
     #: object-local function id -> absolute entry address
-    function_addresses: dict[int, int] = field(default_factory=dict)
-    #: object-local function id -> its sleds (patch/is_patched hot path)
-    _sleds_by_fid: dict[int, list[SledEntry]] = field(
-        default_factory=dict, repr=False
-    )
+    function_addresses: Mapping[int, int]
+    #: the function id of each of ``records``: a 4-byte-a-sled index
+    #: that :meth:`sleds_of` bisects (patch/is_patched hot path)
+    _fids: array = field(repr=False)
 
-    def __post_init__(self) -> None:
-        for sled in self.sleds:
-            self._sleds_by_fid.setdefault(sled.record.function_id, []).append(sled)
-            if sled.record.kind is SledKind.ENTRY:
-                self.function_addresses[sled.record.function_id] = sled.address
+    @property
+    def sleds(self) -> tuple[SledEntry, ...]:
+        return self._resolve(self.records)
 
-    def sleds_of(self, function_id: int) -> list[SledEntry]:
-        return self._sleds_by_fid.get(function_id, [])
+    def sleds_of(self, function_id: int) -> tuple[SledEntry, ...]:
+        start = bisect_left(self._fids, function_id)
+        stop = bisect_right(self._fids, function_id, start)
+        return self._resolve(self.records[start:stop])
+
+    def _resolve(self, records: tuple[SledRecord, ...]) -> tuple[SledEntry, ...]:
+        base = self.base
+        return tuple(SledEntry(record, base + record.offset) for record in records)
+
+
+@dataclass(frozen=True)
+class RuntimeSnapshot:
+    """A runtime's registration and decoded sled table, without its memory.
+
+    :meth:`XRayRuntime.restore` copies it into a runtime over a fresh
+    load of the same program; nothing a restored runtime does reaches
+    back into the snapshot.
+    """
+
+    objects: tuple[RegisteredObject, ...]
+    next_dso_id: int
+    trampolines: TrampolineTable
+    #: sled address -> its record, over every registered object
+    sled_index: Mapping[int, SledRecord]
+    #: the patcher's decoded table (empty unless something was patched)
+    patched: Mapping[int, tuple[int, int]]
 
 
 class XRayRuntime:
@@ -83,8 +114,43 @@ class XRayRuntime:
         self._object_ids_by_name: dict[str, int] = {}
         self._handler: Handler | None = None
         self._next_dso_id = 1
-        #: address -> (object id, sled) reverse index for event dispatch
-        self._sled_index: dict[int, tuple[int, SledEntry]] = {}
+        #: address -> sled record reverse index for event dispatch
+        self._sled_index: dict[int, SledRecord] = {}
+        #: (base, object id) of every registered object, sorted
+        self._bases: list[tuple[int, int]] = []
+
+    # -- cloning ------------------------------------------------------------------
+
+    def snapshot(self) -> RuntimeSnapshot:
+        """This runtime's registration and decoded sled table (the sleds
+        are read once, here, if the table is not current)."""
+        return RuntimeSnapshot(
+            objects=tuple(self._objects.values()),
+            next_dso_id=self._next_dso_id,
+            trampolines=self.trampolines.copy(),
+            sled_index=MappingProxyType(dict(self._sled_index)),
+            patched=MappingProxyType(dict(self._decoded())),
+        )
+
+    @classmethod
+    def restore(cls, memory: Memory, snapshot: RuntimeSnapshot) -> "XRayRuntime":
+        """A runtime over ``memory`` registered as ``snapshot`` records.
+
+        ``memory`` must hold at every sled the bytes the snapshotted
+        runtime's memory held — a fresh load of the same program — so
+        the patcher adopts the snapshot's decoded table instead of
+        reading every sled.  No handler is installed.
+        """
+        runtime = cls(memory)
+        runtime.trampolines = snapshot.trampolines.copy()
+        runtime._next_dso_id = snapshot.next_dso_id
+        for obj in snapshot.objects:
+            runtime._objects[obj.object_id] = obj
+            runtime._object_ids_by_name[obj.name] = obj.object_id
+            insort(runtime._bases, (obj.base, obj.object_id))
+        runtime._sled_index = snapshot.sled_index.copy()
+        runtime.patcher.adopt(snapshot.patched, runtime._sled_index)
+        return runtime
 
     # -- object registration (the paper's new API surface) ---------------------
 
@@ -152,8 +218,10 @@ class XRayRuntime:
             raise ObjectRegistrationError(f"object id {object_id} is not registered")
         del self._object_ids_by_name[obj.name]
         self.trampolines.remove_object(obj.name)
-        for sled in obj.sleds:
-            self._sled_index.pop(sled.address, None)
+        for record in obj.records:
+            self._sled_index.pop(obj.base + record.offset, None)
+        self._bases.remove((obj.base, object_id))
+        self.patcher.drop_table()
 
     def _register(
         self,
@@ -171,27 +239,43 @@ class XRayRuntime:
                 raise ObjectRegistrationError(
                     f"function id {fid} in {name!r} exceeds 24-bit limit"
                 )
-        sleds = [SledEntry(rec, base + rec.offset) for rec in sled_records]
+        records = tuple(sorted(sled_records, key=lambda rec: rec.function_id))
+        addresses = [base + rec.offset for rec in records]
         obj = RegisteredObject(
             object_id=object_id,
             name=name,
             base=base,
             relocated=relocated,
-            sleds=sleds,
+            records=records,
             entry_trampoline=trampolines[0],
             exit_trampoline=trampolines[1],
-            function_names=dict(function_names),
+            function_names=MappingProxyType(dict(function_names)),
+            function_addresses=MappingProxyType(
+                {
+                    rec.function_id: address
+                    for rec, address in zip(records, addresses)
+                    if rec.kind is SledKind.ENTRY
+                }
+            ),
+            _fids=array("i", (rec.function_id for rec in records)),
         )
         self._objects[object_id] = obj
         self._object_ids_by_name[name] = object_id
-        for sled in sleds:
-            self._sled_index[sled.address] = (object_id, sled)
+        self._sled_index.update(zip(addresses, records))
+        insort(self._bases, (base, object_id))
+        self.patcher.drop_table()
         return obj
 
     # -- queries ----------------------------------------------------------------
 
     def objects(self) -> Iterator[RegisteredObject]:
         return iter(self._objects.values())
+
+    def _object_at(self, address: int) -> RegisteredObject:
+        """The registered object a registered sled address belongs to:
+        objects never overlap, so it is the one based last below it."""
+        pos = bisect_right(self._bases, (address, MAX_OBJECT_ID + 1)) - 1
+        return self._objects[self._bases[pos][1]]
 
     def object(self, object_id: int) -> RegisteredObject:
         try:
@@ -292,12 +376,26 @@ class XRayRuntime:
     def is_patched(self, packed: PackedId) -> bool:
         obj = self.object(packed.object_id)
         sleds = obj.sleds_of(packed.function_id)
-        return bool(sleds) and all(
-            self.patcher.read_sled(s.address) is not None for s in sleds
-        )
+        table = self._decoded()
+        return bool(sleds) and all(s.address in table for s in sleds)
 
     def patched_count(self) -> int:
-        return sum(1 for pid in self.packed_ids() if self.is_patched(pid))
+        """Functions with every sled patched, counted from the decoded
+        table: the work follows the patched sleds, not the program."""
+        per_function = Counter(
+            (self._object_at(address).object_id, self._sled_index[address].function_id)
+            for address in self._decoded()
+        )
+        return sum(
+            1
+            for (object_id, fid), patched in per_function.items()
+            if fid in self._objects[object_id].function_names
+            and patched == len(self._objects[object_id].sleds_of(fid))
+        )
+
+    def _decoded(self) -> dict[int, tuple[int, int]]:
+        """The patcher's decoded table over every registered sled."""
+        return self.patcher.sync(self._sled_index)
 
     # -- event dispatch ----------------------------------------------------------------
 
@@ -305,19 +403,19 @@ class XRayRuntime:
         """Execute the sled at ``address``.
 
         Called by the execution engine whenever control flow passes an
-        instrumentation point.  Reads the actual sled bytes: an
+        instrumentation point.  Reads the sled's state from the decoded
+        table, which follows its bytes (:mod:`repro.xray.patching`): an
         unpatched sled is a NOP (returns False); a patched sled routes
-        through its trampoline to the handler (returns True).
+        through its trampoline to the handler (returns True).  A sled no
+        object registered is read from its bytes.
         """
-        decoded = self.patcher.read_sled(address)
+        decoded = self.patcher.sync(self._sled_index).get(address)
         if decoded is None:
-            return False
-        packed_value, trampoline_id = decoded
-        entry = self._sled_index.get(address)
-        if entry is None:
+            if address in self._sled_index or self.patcher.read_sled(address) is None:
+                return False
             raise XRayError(f"patched sled at {address:#x} belongs to no object")
-        object_id, _sled = entry
-        obj = self._objects[object_id]
+        packed_value, trampoline_id = decoded
+        obj = self._object_at(address)
         trampoline = self.trampolines.get(trampoline_id)
         trampoline.invoke(
             self._handler, PackedId.unpack(packed_value), relocated=obj.relocated

@@ -96,5 +96,9 @@ class TrampolineTable:
     def get(self, trampoline_id: int) -> Trampoline:
         return self._table[trampoline_id]
 
+    def copy(self) -> "TrampolineTable":
+        """An independent table sharing the (never mutated) trampolines."""
+        return TrampolineTable(dict(self._table), self._next_id)
+
     def __len__(self) -> int:
         return len(self._table)

@@ -68,7 +68,7 @@ class TestScorePBridge:
             clock=clock,
         )
         if inject:
-            bridge.inject_dso_symbols()
+            bridge.inject_dso_symbols(dyn.process.symbols)
         dyn.xray.set_handler(bridge.handler)
         return dyn, bridge, measurement
 
@@ -95,7 +95,7 @@ class TestScorePBridge:
 
     def test_injection_count(self, started):
         dyn, bridge, _ = self.make_bridge(started, inject=False)
-        count = bridge.inject_dso_symbols()
+        count = bridge.inject_dso_symbols(dyn.process.symbols)
         assert count > 0
 
 

@@ -6,7 +6,11 @@ import pytest
 
 from repro.core.ic import IC_ENV_VAR, InstrumentationConfig
 from repro.dyncapi.runtime import DynCapi
-from repro.dyncapi.symbols import build_id_name_map, collect_object_symbols
+from repro.dyncapi.symbols import (
+    build_id_name_map,
+    collect_all_symbols,
+    collect_object_symbols,
+)
 from repro.execution.clock import VirtualClock
 from repro.program.loader import DynamicLoader
 from repro.xray.runtime import XRayRuntime
@@ -66,7 +70,7 @@ class TestIdNameMap:
     def test_standalone_builder(self, env):
         dyn, loader, _ = env
         dyn.startup(ic=None)
-        rebuilt = build_id_name_map(dyn.xray, loader)
+        rebuilt = build_id_name_map(dyn.xray, collect_all_symbols(loader))
         assert rebuilt.names == dyn.id_names.names
 
 
