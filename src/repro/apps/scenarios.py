@@ -58,6 +58,7 @@ Fault presets (:data:`FAULT_SCENARIOS`) are the chaos counterpart, for
 
 from __future__ import annotations
 
+from repro.errors import CapiError
 from repro.multirank.faults import FaultSpec
 from repro.multirank.imbalance import ImbalanceSpec
 
@@ -102,7 +103,7 @@ def fault_scenario(name: str) -> FaultSpec:
     try:
         return FAULT_SCENARIOS[name]
     except KeyError:
-        raise ValueError(
+        raise CapiError(
             f"unknown fault scenario {name!r}; "
             f"available: {sorted(FAULT_SCENARIOS)}"
         ) from None

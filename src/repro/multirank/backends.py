@@ -21,9 +21,10 @@ Three implementations ship:
 * :class:`SupervisedBackend` — a fault-tolerant wrapper around either
   of the above: per-rank deadlines, async result collection (submitted
   futures instead of ``pool.map``, so one failure cannot sink the
-  batch), payload integrity checks, bounded retry with exponential
-  backoff + deterministic jitter, worker respawn after pool death, and
-  a per-rank :class:`~repro.multirank.faults.RankHealth` record.
+  batch), payload integrity checks, bounded retry after the seeded
+  backoff shared with the selection service (:mod:`repro.supervision`),
+  worker respawn after pool death, and a per-rank
+  :class:`~repro.multirank.faults.RankHealth` record.
 
 All backends funnel every rank through the same
 :func:`~repro.multirank.scheduler.execute_rank`, so they can only
@@ -33,21 +34,27 @@ results.
 
 from __future__ import annotations
 
-import heapq
 import math
 import multiprocessing
 import os
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+)
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from functools import partial
 
-from repro._util import rng_for
 from repro.errors import CapiError, RankFailedError, RankTimeoutError
 from repro.multirank.faults import RankHealth, check_rank_result
 from repro.multirank.scheduler import RankResult, RankTask, execute_rank
+from repro.supervision import RetryQueue, backoff_delay
 
 #: BuiltApp of the current worker process (set by the pool initializer)
 _WORKER_APP = None
@@ -147,6 +154,33 @@ class _RankState:
         self.latency = 0.0
 
 
+class _InlineExecutor(Executor):
+    """The serial inner's executor: ``submit`` runs the attempt at once.
+
+    An in-process hang cannot be pre-empted, so an attempt that overran
+    its deadline is failed once it returns.
+    """
+
+    def submit(self, fn, task: RankTask) -> Future:
+        future: Future = Future()
+        deadline = task.deadline_seconds
+        start = time.monotonic()
+        try:
+            result = fn(task)
+            elapsed = time.monotonic() - start
+            if deadline is not None and elapsed > deadline:
+                raise RankTimeoutError(
+                    f"rank {task.rank} attempt {task.attempt + 1} took "
+                    f"{elapsed:.3f}s, past the {deadline:.3f}s deadline",
+                    rank=task.rank,
+                )
+        except Exception as exc:  # noqa: BLE001 — the future carries it
+            future.set_exception(exc)
+        else:
+            future.set_result(result)
+        return future
+
+
 class SupervisedBackend:
     """Fault-tolerant supervisor around the serial or mp backend.
 
@@ -154,13 +188,17 @@ class SupervisedBackend:
     its payload passes the :func:`~repro.multirank.faults.check_rank_result`
     integrity gate before being accepted.  A failed attempt (crash,
     deadline overrun, corrupt payload, worker death) is retried up to
-    ``max_attempts`` times with exponential backoff and deterministic
-    jitter (seeded per rank and attempt, so retry schedules reproduce).
-    On the pooled path, a hard worker death (``BrokenProcessPool``) is
-    survived by respawning the executor; only the culprit rank — the
-    one whose injected fault plan scheduled the death — is charged a
-    failed attempt, collateral ranks are resubmitted at their *same*
-    attempt number so the fault schedule stays deterministic.
+    ``max_attempts`` times after the shared seeded backoff
+    (:func:`repro.supervision.backoff_delay`, keyed by rank and
+    attempt, so retry schedules reproduce).  Both inners run one loop:
+    the pooled one over a process pool, the serial one over an
+    in-process executor that runs each attempt as it is submitted, so
+    other ranks run while one backs off.  On the pooled path, a hard
+    worker death (``BrokenProcessPool``) is survived by respawning the
+    executor; only the culprit rank — the one whose injected fault plan
+    scheduled the death — is charged a failed attempt, collateral ranks
+    are resubmitted at their *same* attempt number so the fault
+    schedule stays deterministic.
 
     ``map_ranks`` returns results for every rank whose retries
     succeeded (possibly a partial set) and records one
@@ -178,9 +216,6 @@ class SupervisedBackend:
         processes: int | None = None,
         deadline_seconds: float | None = 30.0,
         max_attempts: int = 3,
-        backoff_base_seconds: float = 0.05,
-        backoff_factor: float = 2.0,
-        backoff_jitter: float = 0.25,
         seed: int = 7,
     ):
         inner_name = inner.lower() if isinstance(inner, str) else None
@@ -205,122 +240,46 @@ class SupervisedBackend:
         self.processes = processes
         self.deadline_seconds = deadline_seconds
         self.max_attempts = max_attempts
-        self.backoff_base_seconds = backoff_base_seconds
-        self.backoff_factor = backoff_factor
-        self.backoff_jitter = backoff_jitter
         self.seed = seed
         #: RankHealth per rank (rank order) of the most recent map_ranks
         self.last_health: tuple[RankHealth, ...] = ()
-
-    # -- shared machinery -------------------------------------------------------
-
-    def _backoff_delay(self, rank: int, attempt: int) -> float:
-        """Backoff before (re)submitting ``attempt`` (1-based retries).
-
-        Exponential in the retry count, with deterministic jitter drawn
-        from a (seed, rank, attempt)-keyed stream: two runs of the same
-        chaos scenario back off identically, but concurrent retries of
-        different ranks still decorrelate (no thundering herd).
-        """
-        jitter = float(
-            rng_for(self.seed, "supervised-backoff", rank, attempt).random()
-        )
-        return (
-            self.backoff_base_seconds
-            * self.backoff_factor ** (attempt - 1)
-            * (1.0 + self.backoff_jitter * jitter)
-        )
-
-    def _record_failure(self, state: _RankState, attempt: int, exc: Exception):
-        state.failures.append(
-            f"attempt {attempt + 1}: {type(exc).__name__}: {exc}"
-        )
-
-    def _finish(self, state: _RankState, *, ok: bool) -> RankHealth:
-        return RankHealth(
-            rank=state.task.rank,
-            outcome="ok" if ok else "lost",
-            attempts=state.attempts,
-            latency_seconds=state.latency,
-            failures=tuple(state.failures),
-        )
 
     def map_ranks(self, built, tasks: list[RankTask]) -> list[RankResult]:
         if not tasks:
             self.last_health = ()
             return []
-        if self.inner == "multiprocessing" and len(tasks) > 1:
-            results, health = self._map_pooled(built, tasks)
-        else:
-            results, health = self._map_serial(built, tasks)
-        self.last_health = tuple(sorted(health, key=lambda h: h.rank))
-        return results
-
-    # -- in-process path --------------------------------------------------------
-
-    def _map_serial(self, built, tasks):
-        results: list[RankResult] = []
-        health: list[RankHealth] = []
-        for task in tasks:
-            state = _RankState(
-                replace(task, deadline_seconds=self.deadline_seconds)
+        pooled = self.inner == "multiprocessing" and len(tasks) > 1
+        if pooled:
+            workers = min(
+                self.processes or min(len(tasks), os.cpu_count() or 1),
+                len(tasks),
             )
-            start = time.monotonic()
-            ok = False
-            for attempt in range(self.max_attempts):
-                if attempt > 0:
-                    time.sleep(self._backoff_delay(task.rank, attempt))
-                state.attempts = attempt + 1
-                t0 = time.monotonic()
-                try:
-                    rank_result = execute_rank(
-                        built, replace(state.task, attempt=attempt)
-                    )
-                    elapsed = time.monotonic() - t0
-                    if (
-                        self.deadline_seconds is not None
-                        and elapsed > self.deadline_seconds
-                    ):
-                        raise RankTimeoutError(
-                            f"rank {task.rank} attempt {attempt + 1} took "
-                            f"{elapsed:.3f}s, past the "
-                            f"{self.deadline_seconds:.3f}s deadline",
-                            rank=task.rank,
-                        )
-                    check_rank_result(rank_result, tracing=task.tracing)
-                except Exception as exc:  # noqa: BLE001 — supervision boundary
-                    self._record_failure(state, attempt, exc)
-                    continue
-                results.append(rank_result)
-                ok = True
-                break
-            state.latency = time.monotonic() - start
-            health.append(self._finish(state, ok=ok))
-        return results, health
+            run = _run_in_worker
+            spawn = partial(
+                ProcessPoolExecutor,
+                max_workers=workers,
+                mp_context=MultiprocessingBackend._context(),
+                initializer=_init_worker,
+                initargs=(built,),
+            )
+        else:
+            workers = 1
+            # bound per call, so a wrapped execute_rank is the one run
+            run = partial(execute_rank, built)
+            spawn = _InlineExecutor
+        return self._supervise(tasks, run, spawn, workers, in_child=pooled)
 
-    # -- pooled path ------------------------------------------------------------
-
-    def _spawn_executor(self, built, task_count: int) -> ProcessPoolExecutor:
-        workers = self.processes or min(task_count, os.cpu_count() or 1)
-        return ProcessPoolExecutor(
-            max_workers=min(workers, task_count),
-            mp_context=MultiprocessingBackend._context(),
-            initializer=_init_worker,
-            initargs=(built,),
-        )
-
-    def _map_pooled(self, built, tasks):
+    def _supervise(
+        self, tasks, run, spawn, workers: int, *, in_child: bool
+    ) -> list[RankResult]:
         deadline = self.deadline_seconds
         states = {
             task.rank: _RankState(
-                replace(task, in_child=True, deadline_seconds=deadline)
+                replace(task, in_child=in_child, deadline_seconds=deadline)
             )
             for task in tasks
         }
-        workers = min(
-            self.processes or min(len(tasks), os.cpu_count() or 1), len(tasks)
-        )
-        executor = self._spawn_executor(built, len(tasks))
+        executor = spawn()
 
         # Submission is throttled to the true worker count: a future is
         # only handed to the executor when a slot is genuinely free, so
@@ -333,10 +292,9 @@ class SupervisedBackend:
         # until then.
         pending: dict = {}  # our live futures -> (rank, attempt, start)
         zombies: set = set()  # abandoned futures still holding a worker
-        ready: list[tuple[int, int]] = []  # (rank, attempt) awaiting a slot
-        retry_heap: list[tuple[float, int, int]] = []  # (due, rank, attempt)
+        ready = deque((task.rank, 0) for task in tasks)  # awaiting a slot
+        retries = RetryQueue()  # (rank, attempt) waiting out a backoff
         results: dict[int, RankResult] = {}
-        lost: set[int] = set()
 
         def submit(rank: int, attempt: int) -> None:
             state = states[rank]
@@ -344,38 +302,31 @@ class SupervisedBackend:
             if state.first_start is None:
                 state.first_start = now
             state.attempts = max(state.attempts, attempt + 1)
-            fut = executor.submit(
-                _run_in_worker, replace(state.task, attempt=attempt)
-            )
+            fut = executor.submit(run, replace(state.task, attempt=attempt))
             pending[fut] = (rank, attempt, now)
 
         def fail(rank: int, attempt: int, exc: Exception) -> None:
             """Charge a failed attempt; queue a retry or declare loss."""
             state = states[rank]
-            self._record_failure(state, attempt, exc)
+            state.failures.append(
+                f"attempt {attempt + 1}: {type(exc).__name__}: {exc}"
+            )
             if attempt + 1 < self.max_attempts:
-                due = time.monotonic() + self._backoff_delay(rank, attempt + 1)
-                heapq.heappush(retry_heap, (due, rank, attempt + 1))
+                due = time.monotonic() + backoff_delay(
+                    self.seed, rank, attempt + 1
+                )
+                retries.schedule(due, (rank, attempt + 1))
             else:
-                lost.add(rank)
                 state.latency = time.monotonic() - (state.first_start or 0.0)
 
         try:
-            ready = [(task.rank, 0) for task in tasks]
-            while pending or zombies or retry_heap or ready:
-                now = time.monotonic()
-                while retry_heap and retry_heap[0][0] <= now:
-                    _, rank, attempt = heapq.heappop(retry_heap)
-                    ready.append((rank, attempt))
+            while pending or zombies or retries or ready:
+                ready.extend(retries.pop_due(time.monotonic()))
                 while ready and len(pending) + len(zombies) < workers:
-                    rank, attempt = ready.pop(0)
-                    submit(rank, attempt)
+                    submit(*ready.popleft())
                 if not pending and not zombies:
                     # nothing in flight: only a future retry remains
-                    if retry_heap:
-                        time.sleep(
-                            max(0.0, retry_heap[0][0] - time.monotonic())
-                        )
+                    time.sleep(max(0.0, retries.next_due() - time.monotonic()))
                     continue
 
                 next_event = math.inf
@@ -383,8 +334,8 @@ class SupervisedBackend:
                     next_event = min(
                         start + deadline for (_, _, start) in pending.values()
                     )
-                if retry_heap:
-                    next_event = min(next_event, retry_heap[0][0])
+                if retries:
+                    next_event = min(next_event, retries.next_due())
                 timeout = (
                     None
                     if math.isinf(next_event)
@@ -410,7 +361,8 @@ class SupervisedBackend:
                     try:
                         rank_result = fut.result()
                         check_rank_result(
-                            rank_result, tracing=states[rank].task.tracing
+                            rank_result,
+                            tracing=states[rank].task.settings.tracing,
                         )
                     except BrokenProcessPool:
                         pool_broke = True
@@ -432,7 +384,7 @@ class SupervisedBackend:
                     pending.clear()
                     zombies.clear()
                     executor.shutdown(wait=False, cancel_futures=True)
-                    executor = self._spawn_executor(built, len(tasks))
+                    executor = spawn()
                     culprits = {
                         rank
                         for rank, attempt in broken
@@ -482,12 +434,17 @@ class SupervisedBackend:
         finally:
             executor.shutdown(wait=False)
 
-        health = [
-            self._finish(states[task.rank], ok=task.rank in results)
-            for task in tasks
-        ]
-        ordered = [results[t.rank] for t in tasks if t.rank in results]
-        return ordered, health
+        self.last_health = tuple(
+            RankHealth(
+                rank=rank,
+                outcome="ok" if rank in results else "lost",
+                attempts=state.attempts,
+                latency_seconds=state.latency,
+                failures=tuple(state.failures),
+            )
+            for rank, state in sorted(states.items())
+        )
+        return [results[t.rank] for t in tasks if t.rank in results]
 
 
 def resolve_backend(

@@ -21,10 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.ic import InstrumentationConfig
 from repro.dyncapi.runtime import process_state
 from repro.errors import CapiError, DegradedResultError
-from repro.execution.costs import CostModel
 from repro.execution.result import RunResult
 from repro.execution.workload import Workload
 from repro.multirank.faults import (
@@ -41,12 +39,9 @@ from repro.multirank.reduce import (
     build_pop_report,
     merge_profiles,
 )
-from repro.multirank.tracing import (
-    MergedTrace,
-    merge_rank_traces,
-    validate_tracing,
-)
+from repro.multirank.tracing import MergedTrace, merge_rank_traces
 from repro.scorep.tracing import TraceEvent
+from repro.workflow import RunSettings
 
 
 @dataclass(frozen=True)
@@ -66,17 +61,9 @@ class RankTask:
 
     rank: int
     ranks: int
-    mode: str
-    tool: str
-    ic: InstrumentationConfig | None
+    #: the run's per-process settings, shared by every rank
+    settings: RunSettings
     workload: Workload
-    cost_model: CostModel | None
-    symbol_injection: bool
-    emulate_talp_bug: bool
-    talp_bug_threshold: int | None
-    talp_bug_modulus: int | None
-    config_name: str
-    tracing: bool = False
     #: chaos-injection schedule for this rank (None: run clean)
     fault: RankFaultPlan | None = None
     #: which execution attempt this is (0 = first try); only the
@@ -88,10 +75,6 @@ class RankTask:
     in_child: bool = False
     #: the supervisor's per-rank deadline (None: unsupervised)
     deadline_seconds: float | None = None
-    #: OTF2-shaped archive directory: the rank writes its own location
-    #: file there (inside the worker — trace payloads never ride the
-    #: result pickle) instead of returning events in ``trace``
-    trace_dir: str | None = None
 
 
 @dataclass(frozen=True)
@@ -164,40 +147,25 @@ def build_tasks(
     *,
     ranks: int,
     imbalance: ImbalanceSpec,
-    mode: str,
-    tool: str,
-    ic: InstrumentationConfig | None,
     workload: Workload | None = None,
-    cost_model: CostModel | None = None,
-    symbol_injection: bool = True,
-    emulate_talp_bug: bool = True,
-    talp_bug_threshold: int | None = None,
-    talp_bug_modulus: int | None = None,
-    config_name: str = "",
-    tracing: bool = False,
     faults: FaultSpec | None = None,
-    trace_dir: str | None = None,
+    **settings,
 ) -> list[RankTask]:
-    """One task per rank, workloads perturbed by the imbalance spec."""
+    """One task per rank, workloads perturbed by the imbalance spec.
+
+    Every task carries one :class:`~repro.workflow.RunSettings`, built
+    from the ``settings`` keywords.
+    """
+    run_settings = RunSettings(**settings)
     workloads = imbalance.workloads_for(ranks, workload)
     fault_plan = faults.plan(ranks) if faults is not None else {}
     return [
         RankTask(
             rank=rank,
             ranks=ranks,
-            mode=mode,
-            tool=tool,
-            ic=ic,
+            settings=run_settings,
             workload=workloads[rank],
-            cost_model=cost_model,
-            symbol_injection=symbol_injection,
-            emulate_talp_bug=emulate_talp_bug,
-            talp_bug_threshold=talp_bug_threshold,
-            talp_bug_modulus=talp_bug_modulus,
-            config_name=config_name,
-            tracing=tracing,
             fault=fault_plan.get(rank),
-            trace_dir=trace_dir,
         )
         for rank in range(ranks)
     ]
@@ -217,19 +185,9 @@ def execute_rank(built, task: RankTask) -> RankResult:
     inject_pre_execution(task)
     outcome = run_app(
         built,
-        mode=task.mode,  # type: ignore[arg-type]
-        tool=task.tool,  # type: ignore[arg-type]
-        ic=task.ic,
+        **vars(task.settings),
         ranks=task.ranks,
         workload=task.workload,
-        cost_model=task.cost_model,
-        symbol_injection=task.symbol_injection,
-        emulate_talp_bug=task.emulate_talp_bug,
-        talp_bug_threshold=task.talp_bug_threshold,
-        talp_bug_modulus=task.talp_bug_modulus,
-        config_name=task.config_name,
-        tracing=task.tracing,
-        trace_dir=task.trace_dir,
         trace_location=task.rank,
         trace_standalone=False,
     )
@@ -249,7 +207,7 @@ def execute_rank(built, task: RankTask) -> RankResult:
             for region in outcome.monitor.regions.values()
         )
     trace: tuple[TraceEvent, ...] | None = None
-    if outcome.tracer is not None and task.trace_dir is None:
+    if outcome.tracer is not None and task.settings.trace_dir is None:
         trace = tuple(outcome.tracer.all_events())
     return corrupt_result(
         task,
@@ -270,23 +228,17 @@ def run_multirank(
     ranks: int,
     imbalance: ImbalanceSpec,
     backend: "str | object" = "serial",
-    mode: str = "ic",
-    tool: str = "none",
-    ic: InstrumentationConfig | None = None,
     workload: Workload | None = None,
-    cost_model: CostModel | None = None,
-    symbol_injection: bool = True,
-    emulate_talp_bug: bool = True,
-    talp_bug_threshold: int | None = None,
-    talp_bug_modulus: int | None = None,
-    config_name: str = "",
-    tracing: bool = False,
     faults: FaultSpec | None = None,
     degraded: str = "forbid",
     processes: int | None = None,
-    trace_dir: str | None = None,
+    **settings,
 ) -> MultiRankOutcome:
     """Execute ``built`` across ``ranks`` simulated ranks and reduce.
+
+    ``settings`` are :class:`~repro.workflow.RunSettings` keywords
+    (``mode``, ``tool``, ``ic``, ``tracing``, ``trace_dir``, ...), the
+    same as :func:`~repro.workflow.run_app` takes.
 
     ``tracing=True`` (scorep tool only) additionally records one event
     trace per rank and merges them into a rank-tagged,
@@ -313,44 +265,29 @@ def run_multirank(
     ``outcome.missing_ranks``/``outcome.health`` and coverage-annotates
     the POP report.
 
-    Validation of the mode/IC combination happens up front so a bad
-    configuration fails in the caller, not inside a worker process.
+    The settings are validated up front so a bad configuration fails in
+    the caller, not inside a worker process.
     """
     from repro.multirank.backends import resolve_backend
 
-    if mode == "ic" and ic is None:
-        raise CapiError("mode='ic' requires an instrumentation configuration")
-    if mode != "ic" and ic is not None:
-        raise CapiError(f"mode={mode!r} does not take an IC")
     if ranks < 1:
         raise CapiError(f"ranks must be >= 1, got {ranks}")
     if degraded not in ("forbid", "allow"):
         raise CapiError(
             f"degraded must be 'forbid' or 'allow', got {degraded!r}"
         )
-    if tracing:
-        validate_tracing(tool, mode)
-    if trace_dir is not None and not tracing:
-        raise CapiError("trace_dir= requires tracing=True")
     tasks = build_tasks(
         ranks=ranks,
         imbalance=imbalance,
-        mode=mode,
-        tool=tool,
-        ic=ic,
         workload=workload,
-        cost_model=cost_model,
-        symbol_injection=symbol_injection,
-        emulate_talp_bug=emulate_talp_bug,
-        talp_bug_threshold=talp_bug_threshold,
-        talp_bug_modulus=talp_bug_modulus,
-        config_name=config_name,
-        tracing=tracing,
         faults=faults,
-        trace_dir=trace_dir,
+        **settings,
     )
+    run_settings = tasks[0].settings
     resolved = resolve_backend(backend, processes=processes)
-    if mode != "vanilla":
+    tracing = run_settings.tracing
+    trace_dir = run_settings.trace_dir
+    if run_settings.mode != "vanilla":
         # build the start-up state here, before a pool forks, so every
         # rank clones the parent's copy instead of building its own
         process_state(built.linked)
@@ -407,8 +344,8 @@ def run_multirank(
             frequency=per_rank[0].result.frequency,
             meta={
                 "app": getattr(built, "name", ""),
-                "config": config_name,
-                "tool": tool,
+                "config": run_settings.config_name,
+                "tool": run_settings.tool,
                 "backend": getattr(resolved, "name", type(resolved).__name__),
             },
         )
@@ -559,21 +496,11 @@ def run_rebalanced(
     dlb,
     max_iterations: int = 8,
     backend: "str | object" = "serial",
-    mode: str = "ic",
-    tool: str = "none",
-    ic: InstrumentationConfig | None = None,
     workload: Workload | None = None,
-    cost_model: CostModel | None = None,
-    symbol_injection: bool = True,
-    emulate_talp_bug: bool = True,
-    talp_bug_threshold: int | None = None,
-    talp_bug_modulus: int | None = None,
-    config_name: str = "",
-    tracing: bool = False,
     faults: FaultSpec | None = None,
     degraded: str = "forbid",
     processes: int | None = None,
-    trace_dir: str | None = None,
+    **settings,
 ) -> RebalanceOutcome:
     """Close the DLB loop: measure, lend/borrow, re-run until balanced.
 
@@ -609,7 +536,7 @@ def run_rebalanced(
 
     if max_iterations < 1:
         raise CapiError(f"max_iterations must be >= 1, got {max_iterations}")
-    if trace_dir is not None:
+    if settings.get("trace_dir") is not None:
         raise CapiError(
             "trace_dir= cannot be combined with dlb rebalancing: every "
             "iteration re-runs the world and would rewrite the archive"
@@ -617,20 +544,11 @@ def run_rebalanced(
     common = dict(
         ranks=ranks,
         backend=backend,
-        mode=mode,
-        tool=tool,
-        ic=ic,
         workload=workload,
-        cost_model=cost_model,
-        symbol_injection=symbol_injection,
-        emulate_talp_bug=emulate_talp_bug,
-        talp_bug_threshold=talp_bug_threshold,
-        talp_bug_modulus=talp_bug_modulus,
-        config_name=config_name,
-        tracing=tracing,
         faults=faults,
         degraded=degraded,
         processes=processes,
+        **settings,
     )
     base_factors = imbalance.factors(ranks)
     current = run_multirank(built, imbalance=imbalance, **common)

@@ -68,10 +68,10 @@ SYNC_OPS = frozenset(SYNCHRONIZING | {"MPI_Init", "MPI_Finalize"})
 def validate_tracing(tool: str, mode: str) -> None:
     """Reject tracing configurations that could never record events.
 
-    Shared by ``workflow.run_app`` and ``run_multirank`` so both entry
-    points fail the same way: only the scorep tool attaches a tracer,
-    and the vanilla/inactive modes never install a measurement tool at
-    all — a requested trace could only ever come back empty.
+    Checked once, by :class:`~repro.workflow.RunSettings`, so every
+    entry point fails the same way: only the scorep tool attaches a
+    tracer, and the vanilla/inactive modes never install a measurement
+    tool at all — a requested trace could only ever come back empty.
     """
     if tool != "scorep":
         raise CapiError(

@@ -18,9 +18,9 @@ unchanged):
   state machine is unit-testable without sleeping.
 
 * :class:`ServiceHealth` — the aggregate supervision record: shard
-  restarts (worker death or deadline-wedge depose), live zombie count
-  (deposed workers still sleeping off a bounded hang), rescue/retry
-  counters and a bounded log of emitted alerts.
+  restarts (worker death or deadline-wedge depose), rescue and loss
+  counters, on top of the bounded :class:`~repro.trace.alerts.AlertLog`
+  that the trace watchdog writes through too.
 
 Alert codes (stable, kebab-case, ``service-`` prefixed so watchdog
 rules can route on them):
@@ -38,18 +38,16 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.trace.alerts import Alert
+from repro.errors import ServiceError
+from repro.trace.alerts import Alert, AlertLog
 
 #: consecutive evaluation failures of one (graph, key) before it opens
 DEFAULT_QUARANTINE_THRESHOLD = 3
 #: seconds a breaker stays open before allowing a half-open probe
 DEFAULT_QUARANTINE_COOLDOWN = 30.0
-#: bounded in-memory alert log (the JSONL sink, when configured, gets all)
-ALERT_LOG_MAX = 256
 
 
 @dataclass
@@ -75,9 +73,9 @@ class QuarantineBreaker:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if threshold < 1:
-            raise ValueError("quarantine threshold must be >= 1")
+            raise ServiceError("quarantine threshold must be >= 1")
         if cooldown_seconds < 0.0:
-            raise ValueError("quarantine cooldown must be non-negative")
+            raise ServiceError("quarantine cooldown must be non-negative")
         self.threshold = threshold
         self.cooldown_seconds = cooldown_seconds
         self._clock = clock
@@ -179,42 +177,34 @@ class QuarantineBreaker:
             }
 
 
-class ServiceHealth:
+class ServiceHealth(AlertLog):
     """Aggregate supervision record of one :class:`SelectionService`.
 
     Mutations come from the supervisor thread and the worker shards;
-    everything is guarded by one lock.  ``emit`` both logs the alert
-    (bounded deque) and forwards it to the optional sink — the service
-    wires the sink to an ``alerts_path`` JSONL appender, keeping the
-    on-disk stream schema-compatible with the trace watchdog's.
+    the counters and the alert log share one lock.  With an
+    ``alerts_path`` every alert is also appended to that JSONL file,
+    the stream the trace watchdog writes.
     """
 
-    def __init__(self, sink: Callable[[Alert], None] | None = None) -> None:
-        self._lock = threading.Lock()
-        self._sink = sink
-        self._alerts: deque[Alert] = deque(maxlen=ALERT_LOG_MAX)
+    def __init__(self, alerts_path: "str | None" = None) -> None:
+        super().__init__(alerts_path)
         self.restarts = 0
         #: restarts caused by a deadline overrun (subset of ``restarts``)
         self.wedges = 0
-        #: requests rescued from a dead/wedged shard and re-enqueued
+        #: requests taken from a dead/wedged shard (not transient-fault
+        #: retries, which ``stats["retried"]`` counts)
         self.rescued = 0
         #: requests failed after exhausting their retry budget
         self.lost = 0
 
-    def emit(self, alert: Alert) -> None:
-        with self._lock:
-            self._alerts.append(alert)
-            sink = self._sink
-        if sink is not None:
-            sink(alert)
-
     def record_restart(
-        self, shard_index: int, *, wedged: bool, detail: str
+        self, shard_index: int, *, wedged: bool, rescued: int, detail: str
     ) -> None:
         with self._lock:
             self.restarts += 1
             if wedged:
                 self.wedges += 1
+            self.rescued += rescued
         self.emit(
             Alert(
                 code="service-shard-wedged" if wedged else "service-shard-death",
@@ -223,10 +213,6 @@ class ServiceHealth:
                 detail=detail,
             )
         )
-
-    def record_rescued(self, count: int) -> None:
-        with self._lock:
-            self.rescued += count
 
     def record_lost(self, shard_index: int, detail: str) -> None:
         with self._lock:
@@ -249,11 +235,6 @@ class ServiceHealth:
                 detail=detail,
             )
         )
-
-    def alerts(self) -> list[Alert]:
-        """The bounded in-memory alert log, oldest first."""
-        with self._lock:
-            return list(self._alerts)
 
     def counters(self) -> dict:
         with self._lock:

@@ -55,8 +55,6 @@ to a fault-free run.
 
 from __future__ import annotations
 
-import heapq
-import json
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
@@ -64,7 +62,6 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro._util import rng_for
 from repro.cg.graph import CallGraph
 from repro.core.pipeline import CompiledSpec, SelectionResult, compile_spec
 from repro.errors import (
@@ -82,6 +79,7 @@ from repro.service.health import (
 )
 from repro.service.shard import ServiceShard, shard_of
 from repro.service.store import GraphStore
+from repro.supervision import RetryQueue, backoff_delay
 from repro.trace.alerts import Alert
 
 #: default micro-batch window: long enough to coalesce a burst of
@@ -96,9 +94,6 @@ DEFAULT_SHARD_DEADLINE = 10.0
 DEFAULT_SUPERVISE_INTERVAL = 0.05
 #: total attempts per request before the supervisor gives up on it
 DEFAULT_MAX_ATTEMPTS = 3
-#: first-retry backoff; doubles per attempt, jittered, capped
-BACKOFF_BASE_SECONDS = 0.01
-BACKOFF_CAP_SECONDS = 0.25
 
 
 @dataclass(frozen=True)
@@ -227,7 +222,7 @@ class SelectionService:
         self._evaluator = BatchEvaluator(verify=verify)
         self._compile_cache: dict[str, CompiledSpec] = {}
         self._compile_cap = compile_cache_entries
-        #: guards stats, the compile LRU and the retry heap.  Ordering:
+        #: guards stats, the compile LRU and the retry queue.  Ordering:
         #: a shard's condition may be held while taking this lock,
         #: never the reverse.
         self._lock = threading.Lock()
@@ -235,11 +230,7 @@ class SelectionService:
         self._closing = False
         self._started_at = time.monotonic()
         self.stats = ServiceStats()
-        self._alerts_path = alerts_path
-        self._alerts_lock = threading.Lock()
-        self._health = ServiceHealth(
-            sink=self._append_alert if alerts_path else None
-        )
+        self._health = ServiceHealth(alerts_path)
         self._breaker: QuarantineBreaker | None = (
             QuarantineBreaker(
                 threshold=quarantine_threshold,
@@ -248,9 +239,8 @@ class SelectionService:
             if supervised
             else None
         )
-        #: seeded-backoff retry queue: (due, tiebreak, request)
-        self._retry_heap: list[tuple[float, int, _Request]] = []
-        self._retry_seq = 0
+        #: requests waiting out their seeded backoff
+        self._retries = RetryQueue()
         #: deposed worker threads still sleeping off a bounded hang
         self._zombies: list[threading.Thread] = []
         self._shards = [ServiceShard(self, i) for i in range(shards)]
@@ -416,6 +406,7 @@ class SelectionService:
         with self._lock:
             self._zombies = [t for t in self._zombies if t.is_alive()]
             zombies = len(self._zombies)
+            retry_depth = len(self._retries)
         injected: dict[str, int] = {}
         shards = []
         for shard in self._shards:
@@ -433,8 +424,6 @@ class SelectionService:
             if shard.injector is not None:
                 for kind, count in shard.injector.injected_so_far().items():
                     injected[kind] = injected.get(kind, 0) + count
-        with self._lock:
-            retry_depth = len(self._retry_heap)
         return {
             **self._health.counters(),
             "zombies": zombies,
@@ -457,19 +446,10 @@ class SelectionService:
         with self._lock:
             already = self._closing
             self._closing = True
-            pending_retries = [item[2] for item in self._retry_heap]
-            self._retry_heap.clear()
         # retries still waiting out their backoff are failed, not
         # re-enqueued: a drained shard will never gather them, and a
         # typed failure beats a future that never resolves
-        for request in pending_retries:
-            if not self._discard_cancelled(request):
-                self._finish_error(
-                    request,
-                    ServiceTimeoutError(
-                        "service closed while the request awaited its retry"
-                    ),
-                )
+        self._dispatch_due_retries(flush=True)
         for shard in self._shards:
             with shard._cond:
                 shard._cond.notify_all()
@@ -603,15 +583,6 @@ class SelectionService:
 
     # -- retry / quarantine plumbing ---------------------------------------------
 
-    def _backoff_delay(self, shard_index: int, attempts: int) -> float:
-        base = min(
-            BACKOFF_CAP_SECONDS, BACKOFF_BASE_SECONDS * (2 ** (attempts - 1))
-        )
-        jitter = rng_for(
-            self.seed, "service-backoff", shard_index, attempts
-        ).random()
-        return base * (0.5 + 0.5 * jitter)
-
     def _retry_or_fail(
         self, request: _Request, shard_index: int, exc: BaseException
     ) -> None:
@@ -619,7 +590,7 @@ class SelectionService:
 
         Used for transient injected faults and for requests rescued
         from a dead/wedged shard.  Retries go through the seeded
-        backoff heap; the supervisor dispatches them when due.  On a
+        backoff queue; the supervisor dispatches them when due.  On a
         closing, unsupervised, or exhausted service the request fails
         with the triggering error instead.
         """
@@ -639,19 +610,17 @@ class SelectionService:
             return
         with self._lock:
             self.stats.retried += 1
-        self._health.record_rescued(1)
         if self._closing:
-            # the backoff heap stops draining into shards at close; the
+            # the backoff queue stops draining into shards at close; the
             # caller is (or just respawned) the shard's worker, so a
             # direct re-enqueue is still gathered before the drain ends
             self._shard_for(request.graph_key).enqueue(request)
             return
-        due = time.monotonic() + self._backoff_delay(
-            shard_index, request.attempts
+        due = time.monotonic() + backoff_delay(
+            self.seed, shard_index, request.attempts
         )
         with self._lock:
-            self._retry_seq += 1
-            heapq.heappush(self._retry_heap, (due, self._retry_seq, request))
+            self._retries.schedule(due, request)
 
     def _admit_spec(self, graph_key: str, spec_key: str) -> str:
         if self._breaker is None:
@@ -685,11 +654,6 @@ class SelectionService:
                     f"failures; last: {exc}",
                 )
         self._finish_error(request, exc)
-
-    def _append_alert(self, alert: Alert) -> None:
-        with self._alerts_lock:
-            with open(self._alerts_path, "a", encoding="utf-8") as fh:
-                fh.write(alert.to_json() + "\n")
 
     # -- compile cache (shared across shards, under the service lock) ------------
 
@@ -735,13 +699,8 @@ class SelectionService:
             self._check_shard(shard, now)
 
     def _dispatch_due_retries(self, flush: bool = False) -> None:
-        now = time.monotonic()
-        due: list[_Request] = []
         with self._lock:
-            while self._retry_heap and (
-                flush or self._retry_heap[0][0] <= now
-            ):
-                due.append(heapq.heappop(self._retry_heap)[2])
+            due = self._retries.pop_due(time.monotonic(), flush=flush)
         for request in due:
             if self._discard_cancelled(request):
                 continue
@@ -788,7 +747,12 @@ class SelectionService:
             if wedged
             else "worker thread died mid-service"
         )
-        self._health.record_restart(shard.index, wedged=wedged, detail=detail)
+        self._health.record_restart(
+            shard.index,
+            wedged=wedged,
+            rescued=len(rescued_requests),
+            detail=detail,
+        )
         for edit in rescued_edits:
             self._finish_edit(
                 edit,

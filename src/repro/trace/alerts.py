@@ -1,8 +1,10 @@
 """Structured alert records shared by health rendering and the watchdog.
 
 One record type for every alerting surface: the supervision health
-alerts (``render_health_alerts``), the trace watchdog, and the bench
-regression rules.  Text rendering is a *view* over the record
+alerts (``render_health_alerts``), the trace watchdog, the selection
+service's supervisor and the bench regression rules.  One
+:class:`AlertLog` writes the JSONL stream for the service and the
+watchdog alike.  Text rendering is a *view* over the record
 (``Alert.render()``), and the JSONL serialisation is schema-stable so
 CI and downstream collectors can assert on ``code`` instead of
 grepping message text.
@@ -23,9 +25,13 @@ JSONL schema (one object per line; absent optionals serialise as
 from __future__ import annotations
 
 import json
+import threading
+from collections import deque
 from dataclasses import asdict, dataclass
 
 SEVERITIES = ("info", "warning", "critical")
+#: alerts an :class:`AlertLog` keeps in memory (its JSONL file gets all)
+ALERT_LOG_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,34 @@ class Alert:
             threshold=data.get("threshold"),
             source=data.get("source"),
         )
+
+
+class AlertLog:
+    """Bounded in-memory alert log, mirrored to an optional JSONL file.
+
+    The file is created with the log and gets every alert as one
+    :meth:`Alert.to_json` line; memory keeps the last
+    :data:`ALERT_LOG_MAX`.  Thread-safe.
+    """
+
+    def __init__(self, path: "str | None" = None) -> None:
+        self._lock = threading.Lock()
+        self._alerts: deque[Alert] = deque(maxlen=ALERT_LOG_MAX)
+        self._path = path
+        if path is not None:
+            open(path, "a", encoding="utf-8").close()
+
+    def emit(self, alert: Alert) -> None:
+        with self._lock:
+            self._alerts.append(alert)
+            if self._path is not None:
+                with open(self._path, "a", encoding="utf-8") as fh:
+                    fh.write(alert.to_json() + "\n")
+
+    def alerts(self) -> list[Alert]:
+        """The in-memory log, oldest first."""
+        with self._lock:
+            return list(self._alerts)
 
 
 def health_alerts(health) -> list[Alert]:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TextIO
 
-from repro.trace.alerts import Alert, health_alerts
+from repro.trace.alerts import Alert, AlertLog, health_alerts
 from repro.trace.store import (
     DEFINITIONS_NAME,
     TraceStoreError,
@@ -316,35 +316,27 @@ def watch(
     stderr = stderr if stderr is not None else sys.stderr
     config = config or WatchConfig()
     state = WatchState()
+    log = AlertLog(alerts_file or None)
     total = 0
     cycles = 0
-    sink = open(alerts_file, "a") if alerts_file else None
-    try:
-        while True:
-            cycles += 1
-            scanned = 0
-            for run_dir in discover_run_dirs(root):
-                if not state.changed(run_dir):
-                    continue
-                scanned += 1
-                for alert in scan_run(run_dir, config=config):
-                    line = alert.to_json()
-                    print(line, file=stdout)
-                    if sink is not None:
-                        sink.write(line + "\n")
-                    print(alert.render(), file=stderr)
-                    total += 1
-            if sink is not None:
-                sink.flush()
-            print(
-                f"watchdog: cycle {cycles}, {scanned} archive(s) scanned, "
-                f"{total} alert(s) total",
-                file=stderr,
-            )
-            if once or (max_cycles is not None and cycles >= max_cycles):
-                break
-            time.sleep(interval)
-    finally:
-        if sink is not None:
-            sink.close()
+    while True:
+        cycles += 1
+        scanned = 0
+        for run_dir in discover_run_dirs(root):
+            if not state.changed(run_dir):
+                continue
+            scanned += 1
+            for alert in scan_run(run_dir, config=config):
+                print(alert.to_json(), file=stdout)
+                log.emit(alert)
+                print(alert.render(), file=stderr)
+                total += 1
+        print(
+            f"watchdog: cycle {cycles}, {scanned} archive(s) scanned, "
+            f"{total} alert(s) total",
+            file=stderr,
+        )
+        if once or (max_cycles is not None and cycles >= max_cycles):
+            break
+        time.sleep(interval)
     return total

@@ -228,6 +228,43 @@ class RunOutcome:
     trace_meta: "object | None" = None
 
 
+@dataclass(frozen=True)
+class RunSettings:
+    """How every process of one run is configured, validated once.
+
+    :func:`run_app` builds it from its keywords.  On the multi-rank path
+    each rank's task carries it, and
+    :func:`~repro.multirank.scheduler.execute_rank` hands it back to
+    ``run_app`` as keywords.
+    """
+
+    mode: Mode = "ic"
+    tool: Tool = "none"
+    ic: InstrumentationConfig | None = None
+    cost_model: CostModel | None = None
+    symbol_injection: bool = True
+    emulate_talp_bug: bool = True
+    talp_bug_threshold: int | None = None
+    talp_bug_modulus: int | None = None
+    tracing: bool = False
+    config_name: str = ""
+    trace_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.mode == "ic" and self.ic is None:
+            raise CapiError(
+                "mode='ic' requires an instrumentation configuration"
+            )
+        if self.mode != "ic" and self.ic is not None:
+            raise CapiError(f"mode={self.mode!r} does not take an IC")
+        if self.tracing:
+            from repro.multirank.tracing import validate_tracing
+
+            validate_tracing(self.tool, self.mode)
+        if self.trace_dir is not None and not self.tracing:
+            raise CapiError("trace_dir= requires tracing=True")
+
+
 def run_app(
     built: BuiltApp,
     *,
@@ -323,45 +360,33 @@ def run_app(
         from repro.apps import fault_scenario
 
         faults = fault_scenario(faults)
-    if tracing:
-        from repro.multirank.tracing import validate_tracing
-
-        validate_tracing(tool, mode)
-    if trace_dir is not None and not tracing:
-        raise CapiError("trace_dir= requires tracing=True")
-    if trace_dir is not None and dlb is not None:
-        raise CapiError(
-            "trace_dir= cannot be combined with dlb rebalancing: every "
-            "iteration re-runs the world and would rewrite the archive"
-        )
+    settings = RunSettings(
+        mode=mode,
+        tool=tool,
+        ic=ic,
+        cost_model=cost_model,
+        symbol_injection=symbol_injection,
+        emulate_talp_bug=emulate_talp_bug,
+        talp_bug_threshold=talp_bug_threshold,
+        talp_bug_modulus=talp_bug_modulus,
+        tracing=tracing,
+        config_name=config_name,
+        trace_dir=trace_dir,
+    )
     if imbalance is not None:
         return _run_app_multirank(
             built,
-            mode=mode,
-            tool=tool,
-            ic=ic,
-            ranks=ranks,
+            settings,
             imbalance=imbalance,
-            backend=backend,
-            workload=workload,
-            cost_model=cost_model,
-            symbol_injection=symbol_injection,
-            emulate_talp_bug=emulate_talp_bug,
-            talp_bug_threshold=talp_bug_threshold,
-            talp_bug_modulus=talp_bug_modulus,
-            config_name=config_name,
-            tracing=tracing,
             dlb=dlb,
             dlb_max_iterations=dlb_max_iterations,
+            ranks=ranks,
+            backend=backend,
+            workload=workload,
             faults=faults,
             degraded=degraded,
             processes=processes,
-            trace_dir=trace_dir,
         )
-    if mode == "ic" and ic is None:
-        raise CapiError("mode='ic' requires an instrumentation configuration")
-    if mode != "ic" and ic is not None:
-        raise CapiError(f"mode={mode!r} does not take an IC")
 
     cm = cost_model or CostModel()
     clock = VirtualClock()
@@ -409,8 +434,7 @@ def run_app(
             engine_tool = tool
             _install_tool(
                 outcome,
-                tool,
-                tracing=tracing,
+                settings,
                 dyn=dyn,
                 loader=loader,
                 clock=clock,
@@ -418,10 +442,6 @@ def run_app(
                 world=world,
                 pmpi=pmpi,
                 xray_rt=xray_rt,
-                symbol_injection=symbol_injection,
-                emulate_talp_bug=emulate_talp_bug,
-                talp_bug_threshold=talp_bug_threshold,
-                talp_bug_modulus=talp_bug_modulus,
                 trace_writer=trace_writer,
             )
 
@@ -486,50 +506,20 @@ def run_app(
 
 def _run_app_multirank(
     built: BuiltApp,
+    settings: RunSettings,
     *,
-    mode: Mode,
-    tool: Tool,
-    ic: InstrumentationConfig | None,
-    ranks: int,
     imbalance,
-    backend,
-    workload: Workload | None,
-    cost_model: CostModel | None,
-    symbol_injection: bool,
-    emulate_talp_bug: bool,
-    talp_bug_threshold: int | None,
-    talp_bug_modulus: int | None,
-    config_name: str,
-    tracing: bool = False,
-    dlb: "object | None" = None,
-    dlb_max_iterations: int = 8,
-    faults: "object | None" = None,
-    degraded: str = "forbid",
-    processes: int | None = None,
-    trace_dir: "str | None" = None,
+    dlb: "object | None",
+    dlb_max_iterations: int,
+    **world,
 ) -> RunOutcome:
-    """Dispatch to the multirank subsystem and fold into a RunOutcome."""
+    """Dispatch to the multirank subsystem and fold into a RunOutcome.
+
+    ``world`` holds ``run_app``'s multi-rank options, passed on as is.
+    """
     from repro.multirank import run_multirank, run_rebalanced
 
-    common = dict(
-        ranks=ranks,
-        backend=backend,
-        mode=mode,
-        tool=tool,
-        ic=ic,
-        workload=workload,
-        cost_model=cost_model,
-        symbol_injection=symbol_injection,
-        emulate_talp_bug=emulate_talp_bug,
-        talp_bug_threshold=talp_bug_threshold,
-        talp_bug_modulus=talp_bug_modulus,
-        config_name=config_name,
-        tracing=tracing,
-        faults=faults,
-        degraded=degraded,
-        processes=processes,
-        trace_dir=trace_dir,
-    )
+    common = dict(world, **vars(settings))
     rebalance = None
     if dlb is not None:
         rebalance = run_rebalanced(
@@ -555,7 +545,7 @@ def _run_app_multirank(
 
 def _install_tool(
     outcome: RunOutcome,
-    tool: Tool,
+    settings: RunSettings,
     *,
     dyn: DynCapi,
     loader: DynamicLoader,
@@ -564,18 +554,16 @@ def _install_tool(
     world: MpiWorld,
     pmpi: PmpiLayer,
     xray_rt: XRayRuntime,
-    symbol_injection: bool,
-    emulate_talp_bug: bool,
-    talp_bug_threshold: int | None = None,
-    talp_bug_modulus: int | None = None,
-    tracing: bool = False,
     trace_writer: "object | None" = None,
 ) -> None:
     """Wire the measurement bridge and install it as the XRay handler."""
+    tool = settings.tool
     if tool == "scorep":
         measurement = ScorePMeasurement(clock=clock, cost_model=cm)
         tracer = (
-            ScorePTracer(clock=clock, writer=trace_writer) if tracing else None
+            ScorePTracer(clock=clock, writer=trace_writer)
+            if settings.tracing
+            else None
         )
         bridge = ScorePBridge(
             runtime=xray_rt,
@@ -585,7 +573,7 @@ def _install_tool(
             cost_model=cm,
             tracer=tracer,
         )
-        if symbol_injection:
+        if settings.symbol_injection:
             bridge.inject_dso_symbols(dyn.process.symbols)
         pmpi.register(measurement)
         if tracer is not None:
@@ -599,12 +587,12 @@ def _install_tool(
             clock=clock,
             world=world,
             cost_model=cm,
-            emulate_region_bug=emulate_talp_bug,
+            emulate_region_bug=settings.emulate_talp_bug,
         )
-        if talp_bug_threshold is not None:
-            monitor.bug_threshold = talp_bug_threshold
-        if talp_bug_modulus is not None:
-            monitor.bug_modulus = talp_bug_modulus
+        if settings.talp_bug_threshold is not None:
+            monitor.bug_threshold = settings.talp_bug_threshold
+        if settings.talp_bug_modulus is not None:
+            monitor.bug_modulus = settings.talp_bug_modulus
         bridge = TalpBridge(
             dlb=DlbLibrary(monitor),
             id_names=dyn.id_names,

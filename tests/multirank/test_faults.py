@@ -340,7 +340,7 @@ class TestWorkflowIntegration:
         assert len(out.health.retried_ranks) == 1
 
     def test_unknown_preset_rejected(self, demo_app, demo_ic):
-        with pytest.raises(ValueError, match="crash-twice"):
+        with pytest.raises(CapiError, match="crash-twice"):
             run_app(
                 demo_app, mode="ic", tool="scorep", ic=demo_ic, workload=WL,
                 ranks=4, imbalance=IMB, faults="crash-twice",

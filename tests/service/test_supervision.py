@@ -228,9 +228,9 @@ class TestQuarantineBreaker:
         assert breaker.admit("other", "poison") == "ok"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ServiceError):
             QuarantineBreaker(threshold=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ServiceError):
             QuarantineBreaker(cooldown_seconds=-1.0)
 
 
@@ -437,6 +437,38 @@ class TestChaosAcceptance:
             assert health["lost"] == 0
         finally:
             service.close()
+
+
+class TestRescueAccounting:
+    """``rescued`` counts requests taken from a dead or wedged shard only."""
+
+    def test_transient_fault_retries_are_not_rescues(self):
+        service = make_service(
+            seed=0,
+            faults=ServiceFaultSpec(compile_errors=3, window=4),
+            max_attempts=4,
+            **FAST,
+        )
+        try:
+            for source in SPECS * 2:
+                assert service.select("g", source, timeout=30.0)
+            stats = service.stats_snapshot()
+        finally:
+            service.close()
+        assert stats["retried"] == 3
+        assert stats["health"]["restarts"] == 0
+        assert stats["health"]["rescued"] == 0
+
+    def test_wedged_shard_rescues_its_round(self):
+        service = make_service(seed=0, faults="worker-hang", **FAST)
+        try:
+            for source in SPECS * 2:
+                assert service.select("g", source, timeout=30.0)
+            health = service.stats_snapshot()["health"]
+        finally:
+            service.close()
+        assert health["wedges"] >= 1
+        assert health["rescued"] >= 1
 
 
 class TestAlertStream:

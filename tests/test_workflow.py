@@ -1,11 +1,14 @@
 """Tests for the high-level workflow facade."""
 
+import pickle
+
 import pytest
 
 from repro.core.ic import InstrumentationConfig
 from repro.errors import CapiError
 from repro.execution.workload import Workload
-from repro.workflow import build_app, run_app
+from repro.multirank import FaultSpec, ImbalanceSpec, build_tasks, run_multirank
+from repro.workflow import RunSettings, build_app, run_app
 from tests.conftest import make_demo_builder
 
 WL = Workload(site_cap=4)
@@ -42,6 +45,62 @@ class TestRunAppValidation:
     def test_other_modes_reject_ic(self, demo_app, demo_ic):
         with pytest.raises(CapiError):
             run_app(demo_app, mode="full", ic=demo_ic)
+
+
+#: one bad configuration per RunSettings check (the IC is added per case)
+SETTINGS_ERRORS = {
+    "ic-missing": dict(mode="ic"),
+    "ic-unwanted": dict(mode="full", with_ic=True),
+    "tracing-tool": dict(mode="full", tool="talp", tracing=True),
+    "trace-dir": dict(mode="full", tool="scorep", trace_dir="never-written"),
+}
+
+
+class TestRunSettings:
+    """Each check exists once, in RunSettings, and every entry fails alike."""
+
+    @pytest.mark.parametrize("case", sorted(SETTINGS_ERRORS))
+    def test_each_check_raises_the_same_error_everywhere(
+        self, demo_app, demo_ic, case
+    ):
+        kwargs = dict(SETTINGS_ERRORS[case])
+        if kwargs.pop("with_ic", False):
+            kwargs["ic"] = demo_ic
+        with pytest.raises(CapiError) as direct:
+            RunSettings(**kwargs)
+        world = dict(ranks=2, imbalance=ImbalanceSpec())
+        entry_points = {
+            "run_app": lambda: run_app(demo_app, workload=WL, **kwargs),
+            "run_app multi-rank": lambda: run_app(
+                demo_app, workload=WL, **world, **kwargs
+            ),
+            "run_multirank": lambda: run_multirank(
+                demo_app, workload=WL, **world, **kwargs
+            ),
+            "build_tasks": lambda: build_tasks(**world, **kwargs),
+        }
+        for name, call in entry_points.items():
+            with pytest.raises(CapiError) as caught:
+                call()
+            assert type(caught.value) is type(direct.value), name
+            assert str(caught.value) == str(direct.value), name
+
+    def test_rank_task_survives_a_pickle_round_trip(self, demo_ic):
+        tasks = build_tasks(
+            ranks=3,
+            imbalance=ImbalanceSpec(imbalance=0.2, seed=3),
+            workload=WL,
+            faults=FaultSpec(crashes=3),
+            mode="ic",
+            tool="scorep",
+            ic=demo_ic,
+            tracing=True,
+            config_name="pickled",
+        )
+        assert all(task.settings is tasks[0].settings for task in tasks)
+        for task in tasks:
+            assert task.fault is not None
+            assert pickle.loads(pickle.dumps(task)) == task
 
 
 class TestRunAppModes:
