@@ -80,7 +80,7 @@ from repro.multirank.tracing import (
     MergedTrace,
     SyncPoint,
     WaitInterval,
-    align_stream,
+    align_blocks,
     compute_alignment,
     merge_rank_traces,
     segment_windows,
@@ -114,7 +114,7 @@ __all__ = [
     "SupervisedBackend",
     "SyncPoint",
     "WaitInterval",
-    "align_stream",
+    "align_blocks",
     "apply_step",
     "build_pop_report",
     "build_tasks",

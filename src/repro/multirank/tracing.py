@@ -42,11 +42,16 @@ Entry point: ``run_app(..., ranks=N, imbalance=..., tracing=True)`` →
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.errors import CapiError
 from repro.scorep.tracing import (
+    KIND_CODE,
+    EventBlock,
     RankedTraceEvent,
     TraceEvent,
     TraceEventKind,
@@ -63,6 +68,7 @@ from repro.simmpi.comm import SYNCHRONIZING
 #: ``MPI_Finalize`` is the closing barrier the profile reducer already
 #: models via ``finalize_wait``.
 SYNC_OPS = frozenset(SYNCHRONIZING | {"MPI_Init", "MPI_Finalize"})
+_MPI_CODE = KIND_CODE[TraceEventKind.MPI]
 
 
 def validate_tracing(tool: str, mode: str) -> None:
@@ -343,20 +349,45 @@ class MergedTrace(MergedTimeline):
         return self.events
 
 
-def scan_stream(
-    events: Iterable[TraceEvent],
-) -> tuple[list[tuple[str, float]], int, float]:
-    """One pass over a rank's raw stream: its sync-point ``(op, local
-    time)`` sequence, its event count and its last local timestamp."""
+class StreamScan(NamedTuple):
+    """What the alignment needs from one rank's raw stream."""
+
+    #: the sync-point ``(op, local time)`` sequence
+    sync_seq: list[tuple[str, float]]
+    #: event count
+    count: int
+    #: last local timestamp (0.0 when empty)
+    last_t: float
+    #: largest local timestamp (the last one unless the stream regresses)
+    max_t: float
+
+
+def scan_blocks(blocks: Iterable[EventBlock]) -> StreamScan:
+    """One pass over a rank's raw stream, column by column.
+
+    A sync event is an MPI event whose region is in :data:`SYNC_OPS`.
+    """
     sync_seq: list[tuple[str, float]] = []
     count = 0
     last_t = 0.0
-    for ev in events:
-        count += 1
-        last_t = ev.timestamp_cycles
-        if ev.kind is TraceEventKind.MPI and ev.region in SYNC_OPS:
-            sync_seq.append((ev.region, last_t))
-    return sync_seq, count, last_t
+    max_t = -math.inf
+    for block in blocks:
+        if not len(block.t):
+            continue
+        is_sync = np.fromiter(
+            (name in SYNC_OPS for name in block.names), bool, len(block.names)
+        )
+        hits = np.flatnonzero((block.kind == _MPI_CODE) & is_sync[block.region])
+        sync_seq.extend(
+            zip(
+                [block.names[r] for r in block.region[hits].tolist()],
+                block.t[hits].tolist(),
+            )
+        )
+        count += len(block.t)
+        last_t = float(block.t[-1])
+        max_t = max(max_t, float(block.t.max()))
+    return StreamScan(sync_seq, count, last_t, max_t)
 
 
 def _alignment_anchors(
@@ -410,7 +441,7 @@ def compute_alignment(
     per-rank timestamp order is preserved).  Returns the sync points,
     the final per-rank offsets (== total collective wait), and the
     per-rank shift *schedule*: ``(local anchor time, offset valid from
-    that time on)`` pairs that :func:`align_stream` replays over any
+    that time on)`` pairs that :func:`replay_schedule` replays over any
     event source — in-memory lists or on-disk readers alike.
     """
     ranks = len(sync_seqs)
@@ -436,63 +467,85 @@ def compute_alignment(
     return sync_points, tuple(offsets), schedule
 
 
-def align_stream(
+def schedule_columns(
+    plan: "list[tuple[float, float]]",
+) -> tuple[np.ndarray, np.ndarray]:
+    """A :func:`compute_alignment` shift schedule as the columns
+    :func:`replay_schedule` searches: the running maximum of the anchor
+    times, and the offsets with the 0.0 in force before the first."""
+    anchors = np.array([anchor for anchor, _ in plan], dtype=np.float64)
+    offsets = np.array([0.0, *(offset for _, offset in plan)], dtype=np.float64)
+    return np.maximum.accumulate(anchors), offsets
+
+
+def replay_schedule(
+    columns: tuple[np.ndarray, np.ndarray], t: np.ndarray, passed: int = 0
+) -> tuple[np.ndarray, int]:
+    """Aligned timestamps ``t + offset`` under a shift schedule
+    (:func:`schedule_columns`), and the anchors passed after ``t[-1]``.
+
+    The replay rule, stated once: a stream passes anchor k when an event
+    reaches its local time and every earlier anchor's; each event
+    carries the offset of the last anchor passed (0.0 before the first).
+    Passing only moves forward, so after a timestamp regression an
+    event keeps the offset in force.  The wait therefore materialises
+    *at* the collective, exactly where a real rank blocks.  ``passed``
+    carries the count from the previous block of the same stream.
+    """
+    anchors, offsets = columns
+    steps = np.searchsorted(anchors, t, side="right")
+    np.maximum.accumulate(steps, out=steps)
+    np.maximum(steps, passed, out=steps)
+    return t + offsets[steps], int(steps[-1]) if len(steps) else passed
+
+
+def align_blocks(
     rank: int,
-    events: Iterable[TraceEvent],
+    blocks: Iterable[EventBlock],
     plan: "list[tuple[float, float]]",
 ) -> Iterator[RankedTraceEvent]:
-    """Tag and clock-align one rank's event stream, lazily.
+    """Tag and clock-align one rank's stream, a block at a time.
 
-    Replays a :func:`compute_alignment` shift schedule over the stream:
-    events between two sync anchors carry the offset of the preceding
-    one — the wait materialises *at* the collective, exactly where a
-    real rank blocks.  Pure generator, so a streaming reader aligns in
-    O(1) memory per rank.
+    Replays a :func:`compute_alignment` shift schedule
+    (:func:`replay_schedule`) over each block's timestamps, so a
+    streaming reader aligns in O(block) memory per rank.
     """
-    step = 0
-    offset = 0.0
-    for ev in events:
-        while step < len(plan) and ev.timestamp_cycles >= plan[step][0]:
-            offset = plan[step][1]
-            step += 1
-        yield RankedTraceEvent(
-            rank, ev.kind, ev.region, ev.timestamp_cycles + offset, ev.mid
-        )
-
-
-def _offset_at(plan: "list[tuple[float, float]]", t: float) -> float:
-    """The clock offset in force at local time ``t`` (schedule replay)."""
-    offset = 0.0
-    for anchor_t, anchor_offset in plan:
-        if t >= anchor_t:
-            offset = anchor_offset
-        else:
-            break
-    return offset
+    columns = schedule_columns(plan)
+    passed = 0
+    for block in blocks:
+        aligned, passed = replay_schedule(columns, block.t, passed)
+        yield from block.ranked(rank, aligned)
 
 
 def align_scans(
     rank_ids: tuple[int, ...],
-    scans: "list[tuple[list[tuple[str, float]], int, float]]",
+    scans: "list[StreamScan]",
 ) -> tuple[dict, list[list[tuple[float, float]]]]:
     """The alignment pass shared by every :class:`MergedTimeline` source.
 
-    From the ranks' :func:`scan_stream` results, returns the timeline's
+    From the ranks' :func:`scan_blocks` results, returns the timeline's
     alignment fields and the per-rank shift schedules that
-    :func:`align_stream` replays over the same events.
+    :func:`align_blocks` replays over the same events.
     """
     sync_points, offsets, schedule = compute_alignment(
-        [sync_seq for sync_seq, _, _ in scans]
+        [scan.sync_seq for scan in scans]
     )
     fields = {
         "ranks": len(rank_ids),
         "rank_ids": rank_ids,
         "sync_points": sync_points,
         "rank_offsets": offsets,
-        "events_per_rank": tuple(count for _, count, _ in scans),
+        "events_per_rank": tuple(scan.count for scan in scans),
+        # the final event passes every anchor the largest timestamp does
         "last_aligned": tuple(
-            last_t + _offset_at(plan, last_t)
-            for (_, _, last_t), plan in zip(scans, schedule)
+            float(
+                replay_schedule(
+                    schedule_columns(plan), np.array([scan.max_t, scan.last_t])
+                )[0][-1]
+            )
+            if scan.count
+            else 0.0
+            for scan, plan in zip(scans, schedule)
         ),
     }
     return fields, schedule
@@ -562,7 +615,8 @@ def merge_rank_traces(
     """Merge N per-rank event streams into one aligned, rank-tagged timeline.
 
     Implements the logical-clock rule described in the module docstring
-    via :func:`align_scans` + :func:`align_stream`.
+    via :func:`align_scans` + :func:`align_blocks`, passing each stream
+    as one :class:`~repro.scorep.tracing.EventBlock`.
 
     ``rank_ids`` names the true rank of each input stream (ascending) —
     a degraded run merges only the surviving ranks, and their timeline
@@ -574,11 +628,11 @@ def merge_rank_traces(
     anything but the streams themselves).
     """
     ids = resolve_rank_ids(len(per_rank_events), rank_ids)
-    streams = [list(s) for s in per_rank_events]
-    alignment, schedule = align_scans(ids, [scan_stream(s) for s in streams])
+    blocks = [EventBlock.from_events(s) for s in per_rank_events]
+    alignment, schedule = align_scans(ids, [scan_blocks([b]) for b in blocks])
     aligned_streams = [
-        list(align_stream(ids[pos], stream, schedule[pos]))
-        for pos, stream in enumerate(streams)
+        list(align_blocks(ids[pos], [block], schedule[pos]))
+        for pos, block in enumerate(blocks)
     ]
     return MergedTrace(
         **alignment, events=merge_streams(aligned_streams), per_rank=aligned_streams

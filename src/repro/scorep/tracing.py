@@ -17,7 +17,9 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.errors import CapiError
 from repro.execution.clock import VirtualClock
@@ -63,14 +65,68 @@ class RankedTraceEvent:
         return TraceEvent(self.kind, self.region, self.timestamp_cycles, self.mid)
 
 
-def tag_events(
-    rank: int, events: Iterable[TraceEvent]
-) -> list[RankedTraceEvent]:
-    """Tag one rank's event stream with its rank (OTF2 location id)."""
-    return [
-        RankedTraceEvent(rank, ev.kind, ev.region, ev.timestamp_cycles, ev.mid)
-        for ev in events
-    ]
+#: the kinds in column form: a kind's code is its index here (the on-disk
+#: store writes the same codes)
+EVENT_KINDS = (TraceEventKind.ENTER, TraceEventKind.LEAVE, TraceEventKind.MPI)
+KIND_CODE = {kind: code for code, kind in enumerate(EVENT_KINDS)}
+
+
+class EventBlock(NamedTuple):
+    """A run of one location's events, column by column.
+
+    The on-disk store reads a location back one block at a time in this
+    form, and the in-memory merge passes each rank's event list as one
+    block, so the multi-rank alignment runs on columns for both.
+    """
+
+    #: kind code per event (index into :data:`EVENT_KINDS`)
+    kind: np.ndarray
+    #: region id per event (index into ``names``)
+    region: np.ndarray
+    #: local timestamp per event
+    t: np.ndarray
+    #: matched message id per event, -1 for none
+    mid: np.ndarray
+    #: region name of each region id
+    names: Sequence[str]
+
+    @classmethod
+    def from_events(cls, events: Iterable[TraceEvent]) -> "EventBlock":
+        ids: dict[str, int] = {}
+        rows = [
+            (
+                KIND_CODE[ev.kind],
+                ids.setdefault(ev.region, len(ids)),
+                ev.timestamp_cycles,
+                -1 if ev.mid is None else ev.mid,
+            )
+            for ev in events
+        ]
+        kind, region, t, mid = zip(*rows) if rows else ((), (), (), ())
+        return cls(
+            np.array(kind, dtype=np.uint8),
+            np.array(region, dtype=np.uint32),
+            np.array(t, dtype=np.float64),
+            np.array(mid, dtype=np.int64),
+            tuple(ids),
+        )
+
+    def events(self) -> Iterator[TraceEvent]:
+        kinds, names = EVENT_KINDS, self.names
+        for k, r, t, m in zip(
+            self.kind.tolist(), self.region.tolist(), self.t.tolist(),
+            self.mid.tolist(),
+        ):
+            yield TraceEvent(kinds[k], names[r], t, None if m < 0 else m)
+
+    def ranked(self, rank: int, times: np.ndarray) -> Iterator[RankedTraceEvent]:
+        """The block's events tagged with ``rank``, at timestamps ``times``."""
+        kinds, names = EVENT_KINDS, self.names
+        for k, r, t, m in zip(
+            self.kind.tolist(), self.region.tolist(), times.tolist(),
+            self.mid.tolist(),
+        ):
+            yield RankedTraceEvent(rank, kinds[k], names[r], t, None if m < 0 else m)
 
 
 def merge_streams(

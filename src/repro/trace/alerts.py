@@ -136,12 +136,13 @@ def health_alerts(health) -> list[Alert]:
     by_rank = {h.rank: h for h in health.per_rank or ()}
     for rank in health.retried_ranks:
         h = by_rank[rank]
+        last_failure = h.failures[-1] if h.failures else None
         alerts.append(
             Alert(
                 code="retried",
                 severity="warning",
                 rank=rank,
-                detail=f"attempts={h.attempts} last_failure={h.failures[-1]!r}",
+                detail=f"attempts={h.attempts} last_failure={last_failure!r}",
             )
         )
     for rank in health.lost_ranks:

@@ -6,23 +6,27 @@ ids, clock properties).  We mirror that shape:
 
     <trace_dir>/
         definitions.json     global tables: ranks, regions, clock, meta
-        rank-00000.evt       location 0 event stream (JSON-lines)
+        rank-00000.evt       location 0 event stream (binary blocks)
         rank-00001.evt       location 1 event stream
         health.json          optional supervision record (fault PRs)
 
-Each ``.evt`` file is append-only JSON-lines; every line is one small
-JSON array so the reader never needs the whole file in memory:
+Each ``.evt`` file is binary and little-endian, like OTF2's event files
+(grammar and checks in ``docs/observability.md``):
 
-    ["H", 1, rank]            header: format version + location id
-    ["D", region_id, name]    region definition, interned at first use
-    [kind, region_id, t]      event (kind 0=ENTER 1=LEAVE 2=MPI)
-    [kind, region_id, t, mid] event carrying a matched message id
-    ["F", n_events]           footer: clean-close marker + event count
+    header   magic "RTRC", u4 format version, u4 location id
+    block*   "B", u4 new names, u4 events,
+             new names: u2 byte length + UTF-8 each, interned at first use,
+             events: fixed-width records of :data:`RECORD`
+             (u1 kind, u4 region id, f8 timestamp, i8 message id or -1)
+    footer   "F", u8 event count
 
-The footer doubles as a truncation detector: a crashed or corrupted
-writer leaves no footer (or a count that disagrees), which strict
-readers surface as :class:`TraceStoreError` and the watchdog turns
-into a ``trace-truncated`` alert.
+The writer emits one block per flush, and a block defines the region
+names it uses first, so the intact prefix of a truncated file stays
+readable.  Timestamps are the raw IEEE doubles, so a round trip is
+bit-exact.  The footer doubles as a truncation detector: a crashed or
+corrupted writer leaves no footer (or a count that disagrees), which
+strict readers surface as :class:`TraceStoreError` and the watchdog
+turns into a ``trace-truncated`` alert.
 
 Writers are crash-consistent: they stream to a pid-suffixed ``.wip``
 file and ``os.replace`` it into place on close.  That also makes the
@@ -36,21 +40,32 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Generator, Iterable, Iterator
+
+import numpy as np
 
 from repro.errors import CapiError
-from repro.scorep.tracing import TraceEvent, TraceEventKind
+from repro.scorep.tracing import EVENT_KINDS, KIND_CODE, EventBlock, TraceEvent
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-_KIND_CODE = {
-    TraceEventKind.ENTER: 0,
-    TraceEventKind.LEAVE: 1,
-    TraceEventKind.MPI: 2,
-}
-_CODE_KIND = {code: kind for kind, code in _KIND_CODE.items()}
+MAGIC = b"RTRC"
+#: magic, format version, location id
+HEADER = struct.Struct("<4sII")
+#: block tag, number of names the block defines, number of its events
+BLOCK = struct.Struct("<cII")
+#: byte length of one UTF-8 region name
+NAME_LEN = struct.Struct("<H")
+#: footer tag, event count
+FOOTER = struct.Struct("<cQ")
+BLOCK_TAG = b"B"
+FOOTER_TAG = b"F"
+#: one event: kind code (:data:`~repro.scorep.tracing.EVENT_KINDS`),
+#: region id, raw IEEE double timestamp, message id (-1 for none)
+RECORD = np.dtype([("kind", "<u1"), ("region", "<u4"), ("t", "<f8"), ("mid", "<i8")])
 
 DEFINITIONS_NAME = "definitions.json"
 HEALTH_NAME = "health.json"
@@ -91,9 +106,9 @@ class LocationMeta:
 class TraceWriter:
     """Append-only writer for one location's event stream.
 
-    Buffers at most ``buffer_events`` encoded lines before writing
-    them out, so tracer memory stays O(buffer) regardless of trace
-    length.  Satisfies the duck-type ``ScorePTracer.writer`` expects:
+    Buffers at most ``buffer_events`` events, then encodes them as one
+    block, so tracer memory stays O(buffer) regardless of trace length.
+    Satisfies the duck-type ``ScorePTracer.writer`` expects:
     ``write_events(events)`` and ``close() -> LocationMeta``.
     """
 
@@ -117,55 +132,76 @@ class TraceWriter:
         # write concurrently; distinct wip names keep them from
         # clobbering each other mid-stream
         self._wip = self.path.with_name(f"{self.path.name}.wip-{os.getpid()}")
-        self._fh = open(self._wip, "w")
-        self._pending: list[str] = []
+        self._fh = open(self._wip, "wb")
+        self._fh.write(HEADER.pack(MAGIC, FORMAT_VERSION, rank))
+        # the pending block: its records and the names it defines
+        self._pending: list[tuple[int, int, float, int]] = []
+        self._new_names: list[bytes] = []
         self._regions: dict[str, int] = {}
         self.events_written = 0
         self.flushes = 0
         self.closed = False
-        self._emit(json.dumps(["H", FORMAT_VERSION, rank]))
-
-    def _emit(self, line: str) -> None:
-        self._pending.append(line)
-        if len(self._pending) >= self.buffer_events:
-            self.flush()
 
     def _region_id(self, name: str) -> int:
         region_id = self._regions.get(name)
         if region_id is None:
+            encoded = name.encode("utf-8")
+            if len(encoded) > 0xFFFF:
+                raise TraceStoreError(
+                    f"region name of {len(encoded)} bytes exceeds the "
+                    f"{0xFFFF}-byte limit: {name[:40]!r}..."
+                )
             region_id = len(self._regions)
             self._regions[name] = region_id
-            self._emit(json.dumps(["D", region_id, name]))
+            self._new_names.append(encoded)
         return region_id
 
     def write(self, event: TraceEvent) -> None:
         if self.closed:
             raise TraceStoreError(f"writer for rank {self.rank} already closed")
-        record: list = [
-            _KIND_CODE[event.kind],
-            self._region_id(event.region),
-            event.timestamp_cycles,
-        ]
-        if event.mid is not None:
-            record.append(event.mid)
-        self._emit(json.dumps(record))
+        mid = event.mid
+        if mid is None:
+            mid = -1
+        elif mid < 0:
+            raise TraceStoreError(f"message id must be >= 0, got {mid}")
+        self._pending.append(
+            (
+                KIND_CODE[event.kind],
+                self._region_id(event.region),
+                event.timestamp_cycles,
+                mid,
+            )
+        )
         self.events_written += 1
+        if len(self._pending) >= self.buffer_events:
+            self.flush()
 
     def write_events(self, events: Iterable[TraceEvent]) -> None:
         for event in events:
             self.write(event)
 
     def flush(self) -> None:
-        if self._pending:
-            self._fh.write("\n".join(self._pending) + "\n")
-            self._pending.clear()
-            self.flushes += 1
+        """Encode the pending events as one block and write it out."""
+        if not self._pending:
+            return
+        self._fh.write(
+            b"".join(
+                [
+                    BLOCK.pack(BLOCK_TAG, len(self._new_names), len(self._pending)),
+                    *(NAME_LEN.pack(len(name)) + name for name in self._new_names),
+                    np.array(self._pending, dtype=RECORD).tobytes(),
+                ]
+            )
+        )
+        self._pending.clear()
+        self._new_names.clear()
+        self.flushes += 1
 
     def close(self) -> LocationMeta:
         if self.closed:
             raise TraceStoreError(f"writer for rank {self.rank} already closed")
-        self._emit(json.dumps(["F", self.events_written]))
         self.flush()
+        self._fh.write(FOOTER.pack(FOOTER_TAG, self.events_written))
         self._fh.close()
         os.replace(self._wip, self.path)
         self.closed = True
@@ -188,72 +224,133 @@ class TraceWriter:
 # -- location readers ------------------------------------------------------------
 
 
+def iter_location_blocks(
+    path: str | Path, *, strict: bool = True
+) -> Iterator[EventBlock]:
+    """Stream one location file back a block at a time, as columns.
+
+    Reads one block at a time, so memory stays O(block) in trace length;
+    a block's columns are views of the bytes just read.  Each block is
+    checked whole: kind codes, defined region ids, finite timestamps and
+    message ids.  Damage — a truncated block or name table, a bad
+    record, tag or name, a missing or mismatched footer, bytes after
+    the footer — ends the stream after the intact prefix (a truncated
+    block still yields its whole records).  ``strict=True`` then raises
+    :class:`TraceStoreError`, so callers can salvage the prefix by
+    catching it; ``strict=False`` stops quietly.  A file that is missing
+    or has a wrong magic or format version raises in both modes.
+    """
+    path = Path(path)
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError as exc:
+        raise TraceStoreError(f"missing location file {path}") from exc
+    with fh:
+        problem = yield from _read_blocks(fh, path)
+    if problem is not None and strict:
+        raise TraceStoreError(f"{path}: {problem}")
+
+
+def _read_blocks(
+    fh: BinaryIO, path: Path
+) -> Generator[EventBlock, None, "str | None"]:
+    """Yield the intact blocks of an open location file; return the
+    damage that ended the stream, or ``None`` for a clean footer."""
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(HEADER.size)
+    if len(head) < HEADER.size:
+        return "missing header (truncated write?)"
+    magic, version, _rank = HEADER.unpack(head)
+    if magic != MAGIC:
+        raise TraceStoreError(f"{path}: not a location file (magic {magic!r})")
+    if version != FORMAT_VERSION:
+        raise TraceStoreError(f"{path}: unsupported format version {version}")
+    names: list[str] = []
+    count = 0
+    while True:
+        tag = fh.read(1)
+        if not tag:
+            return f"missing footer (truncated write?) after {count} event(s)"
+        if tag == FOOTER_TAG:
+            rest = fh.read(FOOTER.size - 1)
+            if len(rest) < FOOTER.size - 1:
+                return f"truncated footer after {count} event(s)"
+            _, declared = FOOTER.unpack(tag + rest)
+            if declared != count:
+                return f"footer declares {declared} event(s) but {count} were read"
+            if fh.read(1):
+                return "bytes after the footer"
+            return None
+        if tag != BLOCK_TAG:
+            return f"bad block tag {tag!r} after {count} event(s)"
+        rest = fh.read(BLOCK.size - 1)
+        if len(rest) < BLOCK.size - 1:
+            return f"truncated block header after {count} event(s)"
+        _, n_names, n_events = BLOCK.unpack(tag + rest)
+        problem = _read_names(fh, n_names, names, size)
+        if problem is not None:
+            return problem
+        # never ask for more than the file holds: a damaged count must
+        # not allocate a huge buffer
+        data = fh.read(min(n_events * RECORD.itemsize, size - fh.tell()))
+        whole = len(data) // RECORD.itemsize
+        records = np.frombuffer(data, dtype=RECORD, count=whole)
+        bad = (
+            (records["kind"] >= len(EVENT_KINDS))
+            | (records["region"] >= len(names))
+            | ~np.isfinite(records["t"])
+            | (records["mid"] < -1)
+        )
+        problem = None
+        if bad.any():
+            first = int(bad.argmax())
+            k, r, t, m = records[first].item()
+            problem = (
+                f"event {count + first}: bad record (kind {k}, region {r}, "
+                f"timestamp {t!r}, mid {m})"
+            )
+            records = records[:first]
+        elif whole < n_events:
+            problem = f"truncated block: {whole} of {n_events} event(s) after {count}"
+        if len(records):
+            count += len(records)
+            yield EventBlock(
+                records["kind"], records["region"], records["t"], records["mid"], names
+            )
+        if problem is not None:
+            return problem
+
+
+def _read_names(
+    fh: BinaryIO, n_names: int, names: list[str], size: int
+) -> "str | None":
+    """Append a block's region names to ``names``; the damage, if any."""
+    if n_names * NAME_LEN.size > size - fh.tell():
+        return f"truncated definitions: {n_names} region name(s) declared"
+    for _ in range(n_names):
+        head = fh.read(NAME_LEN.size)
+        length = NAME_LEN.unpack(head)[0] if len(head) == NAME_LEN.size else -1
+        raw = fh.read(max(length, 0))
+        if len(raw) != length:
+            return f"truncated definitions after {len(names)} region name(s)"
+        try:
+            names.append(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            return f"undecodable region name {raw[:40]!r}"
+    return None
+
+
 def iter_location_file(
     path: str | Path, *, strict: bool = True
 ) -> Iterator[TraceEvent]:
     """Stream one location file back as :class:`TraceEvent`s.
 
-    Line-at-a-time: memory stays O(1) in trace length.  With
-    ``strict=True`` a missing or count-mismatched footer raises
-    :class:`TraceStoreError` once the stream is exhausted (events
-    before the truncation point are still yielded first, so callers
-    can salvage a prefix by catching the error).
+    Built on :func:`iter_location_blocks`, with the same damage rules:
+    events before the damage are yielded first, then ``strict=True``
+    raises :class:`TraceStoreError`.
     """
-    path = Path(path)
-    if not path.exists():
-        raise TraceStoreError(f"missing location file {path}")
-    regions: dict[int, str] = {}
-    count = 0
-    footer_count: int | None = None
-    saw_header = False
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if strict:
-                    raise TraceStoreError(
-                        f"{path}:{lineno}: undecodable line ({exc})"
-                    ) from exc
-                break
-            tag = record[0]
-            if tag == "H":
-                if record[1] != FORMAT_VERSION:
-                    raise TraceStoreError(
-                        f"{path}: unsupported format version {record[1]}"
-                    )
-                saw_header = True
-            elif tag == "D":
-                regions[record[1]] = record[2]
-            elif tag == "F":
-                footer_count = record[1]
-            else:
-                mid = record[3] if len(record) > 3 else None
-                try:
-                    region = regions[record[1]]
-                    kind = _CODE_KIND[tag]
-                except KeyError as exc:
-                    raise TraceStoreError(
-                        f"{path}:{lineno}: undefined region or kind {record!r}"
-                    ) from exc
-                count += 1
-                yield TraceEvent(kind, region, record[2], mid)
-    if strict:
-        if not saw_header:
-            raise TraceStoreError(f"{path}: missing header line")
-        if footer_count is None:
-            raise TraceStoreError(
-                f"{path}: missing footer (truncated write?) after "
-                f"{count} event(s)"
-            )
-        if footer_count != count:
-            raise TraceStoreError(
-                f"{path}: footer declares {footer_count} event(s) "
-                f"but {count} were read"
-            )
+    for block in iter_location_blocks(path, strict=strict):
+        yield from block.events()
 
 
 def iter_location(
@@ -274,12 +371,13 @@ def load_location_file(
     return list(iter_location_file(path, strict=strict))
 
 
-def count_location_events(path: str | Path) -> int:
-    """Event count of a location file (streaming, lenient)."""
-    n = 0
-    for _ in iter_location_file(path, strict=False):
-        n += 1
-    return n
+def count_location_events(path: str | Path, *, strict: bool = False) -> int:
+    """Event count of a location file: the sum of its block lengths.
+
+    Lenient by default (the intact prefix); ``strict=True`` raises on
+    any damage, which is how the watchdog finds a torn file.
+    """
+    return sum(len(block.t) for block in iter_location_blocks(path, strict=strict))
 
 
 # -- global definitions ----------------------------------------------------------
@@ -341,23 +439,53 @@ def read_definitions(trace_dir: str | Path) -> TraceDefinitions:
     path = Path(trace_dir) / DEFINITIONS_NAME
     if not path.exists():
         raise TraceStoreError(f"missing {DEFINITIONS_NAME} in {trace_dir}")
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise TraceStoreError(f"{path}: undecodable definitions") from exc
+    payload = _read_json_object(path, "definitions")
     if payload.get("format_version") != FORMAT_VERSION:
         raise TraceStoreError(
             f"{path}: unsupported format version "
             f"{payload.get('format_version')!r}"
         )
-    locations = payload.get("locations", [])
-    return TraceDefinitions(
-        world_ranks=payload["world_ranks"],
-        locations=tuple(loc["rank"] for loc in locations),
-        events_per_location=tuple(loc["events"] for loc in locations),
-        frequency=payload.get("clock", {}).get("frequency", 0.0),
-        meta=payload.get("meta", {}),
+    try:
+        locations = [(loc["rank"], loc["events"]) for loc in payload.get("locations", [])]
+        defs = TraceDefinitions(
+            world_ranks=payload["world_ranks"],
+            locations=tuple(rank for rank, _ in locations),
+            events_per_location=tuple(events for _, events in locations),
+            frequency=payload.get("clock", {}).get("frequency", 0.0),
+            meta=payload.get("meta", {}),
+        )
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise TraceStoreError(f"{path}: malformed definitions ({exc!r})") from exc
+    _check_types(
+        path,
+        "definitions",
+        [
+            (defs.world_ranks, int),
+            *((n, int) for n in defs.locations + defs.events_per_location),
+            (defs.frequency, (int, float)),
+            (defs.meta, dict),
+        ],
     )
+    return defs
+
+
+def _read_json_object(path: Path, what: str) -> dict:
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError as exc:  # undecodable JSON or UTF-8
+        raise TraceStoreError(f"{path}: undecodable {what}") from exc
+    if not isinstance(payload, dict):
+        raise TraceStoreError(f"{path}: malformed {what}: not a JSON object")
+    return payload
+
+
+def _check_types(path: Path, what: str, checks: Iterable[tuple]) -> None:
+    """Reject a JSON record whose fields have the wrong types."""
+    for value, kind in checks:
+        if not isinstance(value, kind):
+            raise TraceStoreError(
+                f"{path}: malformed {what}: {value!r} is not {kind}"
+            )
 
 
 # -- supervision record ----------------------------------------------------------
@@ -399,24 +527,44 @@ def read_health_record(trace_dir: str | Path):
         return None
     from repro.multirank.faults import HealthReport, RankHealth
 
+    payload = _read_json_object(path, "health record")
     try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise TraceStoreError(f"{path}: undecodable health record") from exc
-    per_rank = payload.get("per_rank")
-    if per_rank is not None:
-        per_rank = tuple(
-            RankHealth(
-                rank=h["rank"],
-                outcome=h["outcome"],
-                attempts=h["attempts"],
-                latency_seconds=h["latency_seconds"],
-                failures=tuple(h.get("failures", ())),
+        per_rank = payload.get("per_rank")
+        if per_rank is not None:
+            per_rank = tuple(
+                RankHealth(
+                    rank=h["rank"],
+                    outcome=h["outcome"],
+                    attempts=h["attempts"],
+                    latency_seconds=h["latency_seconds"],
+                    failures=tuple(h.get("failures", ())),
+                )
+                for h in per_rank
             )
-            for h in per_rank
+        health = HealthReport(
+            ranks=payload["ranks"],
+            per_rank=per_rank,
+            missing_ranks=tuple(payload.get("missing_ranks", ())),
         )
-    return HealthReport(
-        ranks=payload["ranks"],
-        per_rank=per_rank,
-        missing_ranks=tuple(payload.get("missing_ranks", ())),
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise TraceStoreError(f"{path}: malformed health record ({exc!r})") from exc
+    _check_types(
+        path,
+        "health record",
+        [
+            (health.ranks, int),
+            *((rank, int) for rank in health.missing_ranks),
+            *(
+                check
+                for h in health.per_rank or ()
+                for check in (
+                    (h.rank, int),
+                    (h.outcome, str),
+                    (h.attempts, int),
+                    (h.latency_seconds, (int, float)),
+                    *((failure, str) for failure in h.failures),
+                )
+            ),
+        ],
     )
+    return health

@@ -3,15 +3,18 @@
 ``merge_rank_traces`` materialises every rank's event list; fine for a
 test run, fatal for a fleet.  This module produces the *same*
 rank-tagged, collective-aligned timeline (property-tested
-bit-identical) while holding O(ranks × buffer) memory:
+bit-identical) while holding O(ranks × block) memory:
 
-1. **Alignment pass** — each location file is scanned once, streaming,
-   collecting only its synchronisation-event sequence plus an event
-   count and last timestamp.  :func:`align_scans` then solves the
-   logical clocks — the same pass the in-memory merge runs.
-2. **Merge pass** — ``heapq.merge`` over per-location readers wrapped
-   in :func:`align_stream`, keyed ``(timestamp, rank)``.  At any
-   moment each reader holds one decoded event plus its file buffer.
+1. **Alignment pass** — each location file is scanned once, a block of
+   columns at a time, collecting only its synchronisation-event
+   sequence plus an event count and last timestamp
+   (:func:`~repro.multirank.tracing.scan_blocks`).
+   :func:`~repro.multirank.tracing.align_scans` then solves the logical
+   clocks — the same pass the in-memory merge runs.
+2. **Merge pass** — ``heapq.merge`` over per-location block readers
+   wrapped in :func:`~repro.multirank.tracing.align_blocks`, keyed
+   ``(timestamp, rank)``.  At any moment each reader holds one decoded
+   block.
 
 The analyses are :class:`~repro.multirank.tracing.MergedTimeline`'s,
 shared with the in-memory merge; they run off sync points and
@@ -29,17 +32,19 @@ from typing import Iterator, Sequence
 from repro.multirank.tracing import (
     MergedTimeline,
     MergedTrace,
+    align_blocks,
     align_scans,
-    align_stream,
     merge_rank_traces,
     resolve_rank_ids,
-    scan_stream,
+    scan_blocks,
 )
 from repro.scorep.tracing import RankedTraceEvent
 from repro.trace.store import (
     TraceStoreError,
     discover_ranks,
     iter_location,
+    iter_location_blocks,
+    location_path,
     read_definitions,
 )
 
@@ -68,9 +73,12 @@ class StreamingTrace(MergedTimeline):
 
     def rank_stream(self, pos: int) -> Iterator[RankedTraceEvent]:
         """Rank at position ``pos``, aligned and tagged, streamed."""
-        return align_stream(
-            self.rank_ids[pos],
-            iter_location(self.trace_dir, self.rank_ids[pos], strict=self.strict),
+        rank = self.rank_ids[pos]
+        return align_blocks(
+            rank,
+            iter_location_blocks(
+                location_path(self.trace_dir, rank), strict=self.strict
+            ),
             self.schedule[pos],
         )
 
@@ -118,7 +126,12 @@ def open_merged_trace(
     ids = resolve_rank_ids(len(rank_ids), rank_ids)
     alignment, schedule = align_scans(
         ids,
-        [scan_stream(iter_location(trace_dir, rank, strict=strict)) for rank in ids],
+        [
+            scan_blocks(
+                iter_location_blocks(location_path(trace_dir, rank), strict=strict)
+            )
+            for rank in ids
+        ],
     )
     return StreamingTrace(
         **alignment, trace_dir=str(trace_dir), schedule=schedule, strict=strict

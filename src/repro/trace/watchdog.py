@@ -10,7 +10,7 @@ Rules per run directory:
 * ``trace-missing-definitions`` — location files exist but the global
   definitions were never published (the run died before close).
 * ``trace-truncated`` — a location file fails the strict read (missing
-  or count-mismatched footer, undecodable line).
+  or count-mismatched footer, truncated block, bad record or tag).
 * ``trace-event-count`` — a location's event count disagrees with the
   definitions table.
 * ``trace-orphan-location`` — a location file the definitions don't
@@ -41,8 +41,8 @@ from repro.trace.alerts import Alert, AlertLog, health_alerts
 from repro.trace.store import (
     DEFINITIONS_NAME,
     TraceStoreError,
+    count_location_events,
     discover_ranks,
-    iter_location_file,
     location_path,
     read_definitions,
     read_health_record,
@@ -110,7 +110,7 @@ def scan_run(run_dir: str | Path, *, config: WatchConfig | None = None) -> list[
     for rank in present:
         path = location_path(run_dir, rank)
         try:
-            count = count_strict(path)
+            count = count_location_events(path, strict=True)
         except TraceStoreError as exc:
             alerts.append(
                 Alert(
@@ -209,14 +209,6 @@ def scan_run(run_dir: str | Path, *, config: WatchConfig | None = None) -> list[
         for alert in health_alerts(health):
             alerts.append(_with_source(alert, source))
     return alerts
-
-
-def count_strict(path: Path) -> int:
-    """Strict event count of one location file (raises on truncation)."""
-    n = 0
-    for _ in iter_location_file(path, strict=True):
-        n += 1
-    return n
 
 
 def _with_source(alert: Alert, source: str) -> Alert:

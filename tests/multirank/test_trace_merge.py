@@ -1,12 +1,19 @@
 """Multi-rank trace merge: logical-clock alignment, wait states, critical path."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ic import InstrumentationConfig
 from repro.errors import CapiError
 from repro.execution.workload import Workload
-from repro.multirank import ImbalanceSpec, merge_rank_traces, run_multirank
-from repro.scorep.tracing import TraceEvent, TraceEventKind
+from repro.multirank import (
+    ImbalanceSpec,
+    align_blocks,
+    merge_rank_traces,
+    run_multirank,
+)
+from repro.scorep.tracing import EventBlock, TraceEvent, TraceEventKind
 from repro.workflow import build_app, run_app
 from tests.conftest import make_demo_builder
 
@@ -122,6 +129,57 @@ class TestAlignment:
         without = [ev(E, "main", 1), ev(L, "main", 2)]
         with pytest.raises(ValueError, match="every rank or no rank"):
             merge_rank_traces([with_sync, without])
+
+
+def loop_align(times, plan):
+    """The per-event schedule replay the column replay replaced, kept as
+    the reference: each event advances past every anchor it has reached,
+    never back, and carries the last offset passed."""
+    step, offset, out = 0, 0.0, []
+    for t in times:
+        while step < len(plan) and t >= plan[step][0]:
+            offset = plan[step][1]
+            step += 1
+        out.append(t + offset)
+    return out
+
+
+#: values that tie, that sum inexactly (0.1 + 0.2) and that span
+#: magnitudes, so anchors and events collide and regress
+STAMPS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.1 + 0.2, 0.3, 1.0, 2.5, 1e9 / 3.0]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+class TestReplay:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        times=st.lists(STAMPS, max_size=40),
+        plan=st.lists(st.tuples(STAMPS, STAMPS), max_size=8),
+        cuts=st.lists(st.integers(0, 40), max_size=4),
+    )
+    def test_column_replay_equals_loop_in_any_blocks(self, times, plan, cuts):
+        """Unsorted anchors, regressions and ties, split anywhere into
+        blocks: the aligned timestamps are the loop's, bit for bit."""
+        bounds = [0, *sorted(min(c, len(times)) for c in cuts), len(times)]
+        blocks = [
+            EventBlock.from_events([ev(E, "a", t) for t in times[lo:hi]])
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        got = [e.timestamp_cycles for e in align_blocks(0, blocks, plan)]
+        assert [t.hex() for t in got] == [t.hex() for t in loop_align(times, plan)]
+
+    def test_last_aligned_is_the_final_events_after_a_regression(self):
+        """A stream that regresses below an anchor it already passed
+        keeps that anchor's offset, to its last event."""
+        fast = [ev(M, "MPI_Allreduce", 10), ev(E, "a", 40), ev(L, "a", 5)]
+        slow = [ev(M, "MPI_Allreduce", 30), ev(E, "a", 35), ev(L, "a", 36)]
+        merged = merge_rank_traces([fast, slow])
+        assert merged.per_rank[0][-1].timestamp_cycles == 25.0
+        assert merged.last_aligned == tuple(
+            stream[-1].timestamp_cycles for stream in merged.per_rank
+        )
 
 
 class TestAnalyses:

@@ -6,10 +6,8 @@ from repro.execution.clock import VirtualClock
 from repro.scorep.tracing import (
     RankedTraceEvent,
     ScorePTracer,
-    TraceEvent,
     TraceEventKind,
     merge_streams,
-    tag_events,
     validate_trace,
 )
 from repro.trace import TraceWriter, load_location
@@ -139,28 +137,19 @@ class TestValidation:
 
 
 class TestRankTaggedStreams:
-    def test_tag_events_preserves_payload(self):
-        events = [
-            TraceEvent(TraceEventKind.ENTER, "main", 1.0),
-            TraceEvent(TraceEventKind.LEAVE, "main", 2.0),
-        ]
-        tagged = tag_events(3, events)
-        assert all(ev.rank == 3 for ev in tagged)
-        assert [ev.untagged() for ev in tagged] == events
-
     def test_merge_streams_orders_by_time_then_rank(self):
-        a = tag_events(0, [TraceEvent(TraceEventKind.ENTER, "x", 1.0),
-                           TraceEvent(TraceEventKind.LEAVE, "x", 5.0)])
-        b = tag_events(1, [TraceEvent(TraceEventKind.ENTER, "y", 1.0),
-                           TraceEvent(TraceEventKind.LEAVE, "y", 3.0)])
+        a = [RankedTraceEvent(0, TraceEventKind.ENTER, "x", 1.0),
+             RankedTraceEvent(0, TraceEventKind.LEAVE, "x", 5.0)]
+        b = [RankedTraceEvent(1, TraceEventKind.ENTER, "y", 1.0),
+             RankedTraceEvent(1, TraceEventKind.LEAVE, "y", 3.0)]
         merged = merge_streams([a, b])
         assert [(ev.timestamp_cycles, ev.rank) for ev in merged] == [
             (1.0, 0), (1.0, 1), (3.0, 1), (5.0, 0),
         ]
 
     def test_merge_streams_is_input_order_invariant(self):
-        a = tag_events(0, [TraceEvent(TraceEventKind.ENTER, "x", 2.0)])
-        b = tag_events(1, [TraceEvent(TraceEventKind.ENTER, "y", 1.0)])
+        a = [RankedTraceEvent(0, TraceEventKind.ENTER, "x", 2.0)]
+        b = [RankedTraceEvent(1, TraceEventKind.ENTER, "y", 1.0)]
         assert merge_streams([a, b]) == merge_streams([b, a])
 
     def test_ranked_event_is_hashable_value_object(self):

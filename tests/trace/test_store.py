@@ -3,6 +3,7 @@ definition tables, and the health record."""
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.execution.clock import VirtualClock
@@ -20,7 +21,17 @@ from repro.trace import (
     write_definitions,
     write_health_record,
 )
-from repro.trace.store import count_location_events, iter_location_file
+from repro.trace.store import (
+    BLOCK,
+    FOOTER,
+    FORMAT_VERSION,
+    HEADER,
+    NAME_LEN,
+    RECORD,
+    count_location_events,
+    iter_location_blocks,
+    iter_location_file,
+)
 from tests.trace.conftest import E, L, M, ev
 
 
@@ -46,7 +57,7 @@ class TestWriterRoundTrip:
         assert load_location(tmp_path, 0) == events
 
     def test_float_timestamps_survive_exactly(self, tmp_path):
-        """JSON round-trips doubles exactly — the bit-identity bedrock."""
+        """Raw IEEE doubles round-trip exactly — the bit-identity bedrock."""
         events = [
             ev(E, "a", 0.1 + 0.2),  # the classic 0.30000000000000004
             ev(M, "MPI_Allreduce", 1e9 / 3.0),
@@ -89,8 +100,8 @@ class TestWriterRoundTrip:
             writer.write(ev(L, "hot", 2.0))
         meta = writer.close()
         assert meta.regions == ("hot",)
-        lines = location_path(tmp_path, 0).read_text().splitlines()
-        assert sum(1 for ln in lines if json.loads(ln)[0] == "D") == 1
+        data = location_path(tmp_path, 0).read_bytes()
+        assert data.count(NAME_LEN.pack(len(b"hot")) + b"hot") == 1
 
     def test_writer_spills_from_tracer(self, tmp_path):
         """ScorePTracer with a writer streams events to disk instead of
@@ -137,8 +148,7 @@ class TestTruncationDetection:
 
     def test_missing_footer_raises_strict(self, tmp_path):
         path = self._published(tmp_path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
+        path.write_bytes(path.read_bytes()[: -FOOTER.size])
         with pytest.raises(TraceStoreError, match="missing footer"):
             load_location_file(path)
 
@@ -151,14 +161,13 @@ class TestTruncationDetection:
 
     def test_count_mismatch_raises_strict(self, tmp_path):
         path = self._published(tmp_path, n=10)
-        lines = path.read_text().splitlines()
-        # drop one event line but keep the footer
-        event_idx = next(
-            i for i, ln in enumerate(lines)
-            if isinstance(json.loads(ln)[0], int)
-        )
-        del lines[event_idx]
-        path.write_text("\n".join(lines) + "\n")
+        data = bytearray(path.read_bytes())
+        # drop the block's last event record (and count) but keep the footer
+        tag, n_names, n_events = BLOCK.unpack_from(data, HEADER.size)
+        BLOCK.pack_into(data, HEADER.size, tag, n_names, n_events - 1)
+        records_end = len(data) - FOOTER.size
+        del data[records_end - RECORD.itemsize : records_end]
+        path.write_bytes(bytes(data))
         with pytest.raises(TraceStoreError, match="footer declares"):
             load_location_file(path)
 
@@ -240,3 +249,121 @@ class TestHealthRecord:
 
     def test_absent_record_is_none(self, tmp_path):
         assert read_health_record(tmp_path) is None
+
+
+class TestBinaryLayout:
+    """Checks the binary location format adds over the old line format."""
+
+    def _published(self, tmp_path, events):
+        writer = TraceWriter(tmp_path, 0)
+        writer.write_events(events)
+        writer.close()
+        return location_path(tmp_path, 0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_timestamp_rejected(self, tmp_path, bad):
+        path = self._published(tmp_path, [ev(E, "a", 1.0), ev(L, "a", bad)])
+        with pytest.raises(TraceStoreError, match="bad record"):
+            load_location_file(path)
+        # lenient reads keep the intact prefix
+        assert load_location_file(path, strict=False) == [ev(E, "a", 1.0)]
+
+    def test_json_lines_file_rejected(self, tmp_path):
+        path = location_path(tmp_path, 0)
+        path.write_text('["H", 1, 0]\n["D", 0, "a"]\n[0, 0, 1.0]\n["F", 1]\n')
+        for strict in (True, False):
+            with pytest.raises(TraceStoreError, match="not a location file"):
+                load_location_file(path, strict=strict)
+
+    def test_unsupported_version_rejected(self, tmp_path):
+        path = self._published(tmp_path, sample_events(4))
+        data = bytearray(path.read_bytes())
+        magic, version, rank = HEADER.unpack_from(data)
+        HEADER.pack_into(data, 0, magic, version + 1, rank)
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceStoreError, match="unsupported format version"):
+            load_location_file(path)
+
+    def test_bytes_after_footer_rejected(self, tmp_path):
+        events = sample_events(4)
+        path = self._published(tmp_path, events)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(TraceStoreError, match="bytes after the footer"):
+            load_location_file(path)
+        assert load_location_file(path, strict=False) == events
+
+    def test_undecodable_name_rejected(self, tmp_path):
+        path = self._published(tmp_path, [ev(E, "ab", 1.0)])
+        data = path.read_bytes().replace(b"ab", b"\xff\xfe")
+        path.write_bytes(data)
+        with pytest.raises(TraceStoreError, match="undecodable region name"):
+            load_location_file(path)
+
+    @pytest.mark.parametrize("field, value", [("kind", 3), ("region", 1)])
+    def test_bad_kind_or_region_rejected(self, tmp_path, field, value):
+        path = self._published(tmp_path, [ev(E, "a", 1.0), ev(L, "a", 2.0)])
+        data = bytearray(path.read_bytes())
+        records_end = len(data) - FOOTER.size
+        last = np.frombuffer(
+            data, dtype=RECORD, count=1, offset=records_end - RECORD.itemsize
+        ).copy()
+        last[field] = value
+        data[records_end - RECORD.itemsize : records_end] = last.tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceStoreError, match="event 1: bad record"):
+            load_location_file(path)
+
+    def test_writer_rejects_negative_mid(self, tmp_path):
+        writer = TraceWriter(tmp_path, 0)
+        with pytest.raises(TraceStoreError, match="message id"):
+            writer.write(ev(M, "MPI_Isend", 1.0, mid=-1))
+        writer.abort()
+
+    def test_writer_rejects_overlong_name(self, tmp_path):
+        writer = TraceWriter(tmp_path, 0)
+        with pytest.raises(TraceStoreError, match="exceeds"):
+            writer.write(ev(E, "x" * 70_000, 1.0))
+        writer.abort()
+
+    def test_blocks_follow_flushes(self, tmp_path):
+        """One block per flush; names resolve across blocks."""
+        events = sample_events(20)
+        writer = TraceWriter(tmp_path, 0, buffer_events=6)
+        writer.write_events(events)
+        meta = writer.close()
+        blocks = list(iter_location_blocks(location_path(tmp_path, 0)))
+        assert [len(b.t) for b in blocks] == [6, 6, 6, 2]
+        assert meta.flushes == len(blocks)
+        assert [e for b in blocks for e in b.events()] == events
+        assert count_location_events(location_path(tmp_path, 0), strict=True) == 20
+
+
+class TestMalformedRecords:
+    """Valid JSON of the wrong shape is a TraceStoreError, not a crash."""
+
+    def test_definitions_missing_key(self, tmp_path):
+        (tmp_path / "definitions.json").write_text(
+            json.dumps({"format_version": FORMAT_VERSION})
+        )
+        with pytest.raises(TraceStoreError, match="malformed definitions"):
+            read_definitions(tmp_path)
+
+    @pytest.mark.parametrize("payload", [{"per_rank": None}, [1, 2]])
+    def test_health_wrong_shape(self, tmp_path, payload):
+        (tmp_path / "health.json").write_text(json.dumps(payload))
+        with pytest.raises(TraceStoreError, match="malformed health record"):
+            read_health_record(tmp_path)
+
+    def test_watchdog_alerts_and_open_falls_back(self, tmp_path):
+        from repro.trace import open_merged_trace, scan_run
+
+        writer = TraceWriter(tmp_path, 0)
+        writer.write_events([ev(M, "MPI_Init", 1.0), ev(M, "MPI_Finalize", 2.0)])
+        writer.close()
+        (tmp_path / "definitions.json").write_text(
+            json.dumps({"format_version": FORMAT_VERSION})
+        )
+        (tmp_path / "health.json").write_text(json.dumps([1, 2]))
+        codes = sorted(alert.code for alert in scan_run(tmp_path))
+        assert codes == ["health-unreadable", "trace-missing-definitions"]
+        assert open_merged_trace(tmp_path).rank_ids == (0,)

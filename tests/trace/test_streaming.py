@@ -6,7 +6,12 @@ edge cases — ragged timelines, degraded rank sets, buffer-flush
 crossings, defective streams — are exact and fast.
 """
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.multirank import merge_rank_traces
 from repro.trace import (
@@ -128,6 +133,44 @@ class TestBitIdentity:
         streamed = open_merged_trace(tmp_path)
         merged = merge_rank_traces([streams[r] for r in sorted(streams)])
         assert streamed.materialize().events == merged.events
+
+
+#: (kind, region) draws: nesting, p2p markers and synchronising collectives
+EVENT_SHAPES = [
+    (E, "main"), (L, "main"), (E, "solve"), (L, "solve"),
+    (M, "MPI_Isend"), (M, "MPI_Irecv"), (M, "MPI_Allreduce"), (M, "MPI_Barrier"),
+]
+
+
+@st.composite
+def regressing_stream(draw):
+    """One rank's events; steps may go backwards (timestamp regressions),
+    and every stream ends at MPI_Finalize, so every rank synchronises."""
+    t = 0.0
+    events = []
+    for kind, region in draw(st.lists(st.sampled_from(EVENT_SHAPES), max_size=25)):
+        t += draw(st.sampled_from([0.0, 0.1, 0.2, 1.0, 2.5, -0.3, -4.0]))
+        mid = draw(st.integers(0, 2)) if region in ("MPI_Isend", "MPI_Irecv") else None
+        events.append(ev(kind, region, t, mid))
+    t += draw(st.sampled_from([-1.0, 0.0, 1.0]))
+    events.append(ev(M, "MPI_Finalize", t))
+    return events
+
+
+class TestRandomArchives:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        streams=st.lists(regressing_stream(), min_size=1, max_size=4),
+        buffer_events=st.integers(1, 5),
+    )
+    def test_streaming_equals_in_memory(self, streams, buffer_events):
+        """Small write buffers split the streams into blocks mid-stream;
+        regressions and sync events must survive both paths alike."""
+        with tempfile.TemporaryDirectory() as td:
+            write_archive(
+                Path(td), dict(enumerate(streams)), buffer_events=buffer_events
+            )
+            assert_equivalent(open_merged_trace(td), merge_rank_traces(streams))
 
 
 class TestOpenMergedTrace:

@@ -114,6 +114,27 @@ class TestScanRun:
         assert alerts[0].source == str(tmp_path)
 
 
+    def test_retried_rank_without_failure_lines(self, tmp_path):
+        """A health record claiming a retry but listing no failure still
+        alerts instead of crashing the scan."""
+        write_archive(tmp_path, healthy_streams())
+        write_health_record(
+            tmp_path,
+            HealthReport(
+                ranks=2,
+                per_rank=(
+                    RankHealth(rank=0, outcome="ok", attempts=2,
+                               latency_seconds=1.0),
+                    RankHealth(rank=1, outcome="ok", attempts=1,
+                               latency_seconds=0.5),
+                ),
+            ),
+        )
+        alerts = scan_run(tmp_path)
+        assert [a.code for a in alerts] == ["retried"]
+        assert "last_failure=None" in alerts[0].detail
+
+
 class TestWaitRegression:
     def _skewed(self, tmp_path, skew):
         streams = {
