@@ -290,7 +290,7 @@ def check_rank_result(result, *, tracing: bool = False) -> None:
                     rank=result.rank,
                 )
     if tracing:
-        from repro.scorep.tracing import TraceEventKind, validate_trace
+        from repro.scorep.tracing import walk_stream
 
         trace = result.trace
         if trace is None and getattr(result, "trace_meta", None) is not None:
@@ -313,16 +313,14 @@ def check_rank_result(result, *, tracing: bool = False) -> None:
                 f"tracing was requested",
                 rank=result.rank,
             )
-        if not any(
-            ev.kind is TraceEventKind.MPI and ev.region == "MPI_Finalize"
-            for ev in trace
-        ):
+        walk = walk_stream(trace)
+        if not any(ev.region == "MPI_Finalize" for ev, _ in walk.markers):
             raise RankFailedError(
                 f"rank {result.rank} returned a truncated event trace "
                 f"(no MPI_Finalize marker)",
                 rank=result.rank,
             )
-        problems = validate_trace(list(trace))
+        problems = walk.issues
         if problems:
             raise RankFailedError(
                 f"rank {result.rank} returned an inconsistent event trace: "

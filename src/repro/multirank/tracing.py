@@ -24,8 +24,10 @@ profile reducer attributes via
 construction (acceptance-tested to within one collective latency).
 
 The analyses live once, on :class:`MergedTimeline`, and read events only
-through its two accessors, so the in-memory :class:`MergedTrace` and
-the on-disk :class:`~repro.trace.streaming.StreamingTrace` share them.
+through its one accessor, ``rank_stream(pos)``, walking each rank once
+(:func:`~repro.scorep.tracing.walk_stream`), so the in-memory
+:class:`MergedTrace` and the on-disk
+:class:`~repro.trace.streaming.StreamingTrace` share them.
 Scalasca-style:
 
 * :meth:`MergedTimeline.wait_states` — per-rank wait intervals at each
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -53,12 +56,12 @@ from repro.scorep.tracing import (
     KIND_CODE,
     EventBlock,
     RankedTraceEvent,
+    StreamWalk,
     TraceEvent,
     TraceEventKind,
     TraceIssue,
-    leave_region,
     merge_streams,
-    validate_trace,
+    walk_stream,
 )
 from repro.simmpi.comm import SYNCHRONIZING
 
@@ -151,9 +154,9 @@ class CriticalSegment:
 class MergedTimeline:
     """Alignment results and analyses of one merged N-rank timeline.
 
-    The analyses read events only through the two accessors a source
-    supplies — :meth:`rank_stream` and :meth:`timeline` — so the
-    in-memory :class:`MergedTrace` and the on-disk
+    A source supplies one accessor, :meth:`rank_stream`; the analyses
+    read its events only through :attr:`walks`, one pass per rank, so
+    the in-memory :class:`MergedTrace` and the on-disk
     :class:`~repro.trace.streaming.StreamingTrace` run the same code.
     """
 
@@ -175,9 +178,22 @@ class MergedTimeline:
         """Aligned, rank-tagged events of the rank at position ``pos``."""
         raise NotImplementedError
 
-    def timeline(self) -> Iterable[RankedTraceEvent]:
-        """The merged stream: aligned timestamps, ordered by (time, rank)."""
-        raise NotImplementedError
+    @cached_property
+    def walks(self) -> list[StreamWalk]:
+        """One :func:`~repro.scorep.tracing.walk_stream` pass per rank
+        position, over its segment work windows (:func:`segment_windows`).
+        The windows are disjoint and ascending, so one forward pass finds
+        every segment's top region, linear in the trace length.
+
+        Computed on first use and kept: the alignment fields are a
+        snapshot taken when the timeline is built, so the walks of its
+        streams cannot change.
+        """
+        windows = segment_windows(self.sync_points, self.last_aligned)
+        return [
+            walk_stream(self.rank_stream(pos), [window[pos] for window in windows])
+            for pos in range(self.ranks)
+        ]
 
     # -- alignment views -------------------------------------------------------
 
@@ -206,23 +222,22 @@ class MergedTimeline:
     def validate(self) -> list[TraceIssue]:
         """Merged-stream consistency checks, as machine-readable records.
 
-        The global stream must be ``(timestamp, rank)``-ordered, and each
-        rank's aligned stream must pass the single-stream
-        :func:`~repro.scorep.tracing.validate_trace` checks (alignment
-        adds a never-decreasing offset, so it neither creates nor hides
-        a timestamp regression).  Each defect is a
+        Each rank's aligned stream must pass the single-stream
+        :func:`~repro.scorep.tracing.walk_stream` checks (alignment adds
+        a never-decreasing offset, so it neither creates nor hides a
+        timestamp regression).  That also proves the merged stream's
+        order: a ``(timestamp, rank)`` heap merge of per-rank streams
+        can only go out of order at an event below its predecessor in
+        its own rank's stream, which is reported as
+        ``timestamp-regression`` there.  Each defect is a
         :class:`~repro.scorep.tracing.TraceIssue` with a stable ``code``
-        (``merge-order`` for global-order violations, the single-stream
-        codes otherwise) and the offending ``rank`` filled in;
-        ``str(issue)`` keeps the legacy message text.
+        and the offending ``rank`` filled in; ``str(issue)`` keeps the
+        legacy message text.
         """
         return [
-            *validate_merge_order(self.timeline()),
-            *(
-                issue
-                for pos, rank in enumerate(self.rank_labels)
-                for issue in validate_rank_stream(rank, self.rank_stream(pos))
-            ),
+            replace(issue, rank=rank, detail=f"rank {rank}: {issue.detail}")
+            for rank, walk in zip(self.rank_labels, self.walks)
+            for issue in walk.issues
         ]
 
     # -- analyses --------------------------------------------------------------
@@ -272,15 +287,6 @@ class MergedTimeline:
         if not any(self.events_per_rank):
             return []
         windows = segment_windows(self.sync_points, self.last_aligned)
-        # one forward pass per rank computes every segment's top region
-        # (windows are disjoint and ascending), keeping the whole walk
-        # linear in the trace length instead of per-segment re-walks
-        tops = [
-            _top_regions_by_segment(
-                self.rank_stream(pos), [window[pos] for window in windows]
-            )
-            for pos in range(self.ranks)
-        ]
         ops = ["start", *[sp.op for sp in self.sync_points], "end"]
         labels = self.rank_labels
         segments: list[CriticalSegment] = []
@@ -294,7 +300,7 @@ class MergedTimeline:
                     end_op=ops[seg + 1],
                     rank=labels[pos],
                     duration_cycles=durations[pos],
-                    top_region=tops[pos][seg],
+                    top_region=self.walks[pos].tops[seg],
                 )
             )
         return segments
@@ -344,9 +350,6 @@ class MergedTrace(MergedTimeline):
 
     def rank_stream(self, pos: int) -> list[RankedTraceEvent]:
         return self.per_rank[pos]
-
-    def timeline(self) -> list[RankedTraceEvent]:
-        return self.events
 
 
 class StreamScan(NamedTuple):
@@ -412,7 +415,7 @@ def _alignment_anchors(
         # *some* ranks reach the collectives is malformed input, and
         # silently skipping alignment would present an unaligned
         # timeline as an aligned one with zero wait everywhere
-        raise ValueError(
+        raise CapiError(
             "either every rank or no rank records synchronisation events"
         )
     finale: tuple[str, list[float]] | None = None
@@ -551,31 +554,6 @@ def align_scans(
     return fields, schedule
 
 
-def validate_merge_order(
-    events: Iterable[RankedTraceEvent],
-) -> Iterator[TraceIssue]:
-    """Check global ``(timestamp, rank)`` order of a merged stream."""
-    last_key = (-1.0, -1)
-    for ev in events:
-        key = (ev.timestamp_cycles, ev.rank)
-        if key < last_key:
-            yield TraceIssue(
-                "merge-order",
-                ev.region,
-                f"merged stream out of order at rank {ev.rank} {ev.region}",
-                rank=ev.rank,
-            )
-        last_key = key
-
-
-def validate_rank_stream(
-    rank: int, events: Iterable[TraceEvent | RankedTraceEvent]
-) -> Iterator[TraceIssue]:
-    """Single-stream checks with the rank stamped into each issue."""
-    for issue in validate_trace(events):
-        yield replace(issue, rank=rank, detail=f"rank {rank}: {issue.detail}")
-
-
 def segment_windows(
     sync_points: Sequence[SyncPoint],
     last_aligned: Sequence[float],
@@ -647,56 +625,10 @@ def resolve_rank_ids(
         return tuple(range(ranks))
     ids = tuple(int(r) for r in rank_ids)
     if len(ids) != ranks:
-        raise ValueError(
+        raise CapiError(
             f"rank_ids names {len(ids)} ranks but {ranks} streams given"
         )
     if list(ids) != sorted(set(ids)):
-        raise ValueError("rank_ids must be strictly ascending")
+        raise CapiError("rank_ids must be strictly ascending")
     return ids
 
-
-def _top_regions_by_segment(
-    events: Iterable[RankedTraceEvent],
-    windows: Sequence[tuple[float, float]],
-) -> list["str | None"]:
-    """Per window, the region with the largest exclusive time inside it.
-
-    Walks the rank's aligned stream once, attributing each inter-event
-    interval to the innermost open region, clipped against the disjoint
-    ascending ``(begin, end)`` windows (the per-rank segment work
-    windows).  MPI markers are instants: the interval they open (the
-    operation's cost) stays attributed to the enclosing region, which
-    is the region a flat profile would blame too.  Inter-event
-    intervals that straddle an alignment jump contain the rank's wait —
-    but work windows end at the rank's arrival (wait excluded), so the
-    clip removes it.
-    """
-    exclusive: list[dict[str, float]] = [{} for _ in windows]
-    stack: list[str] = []
-    prev_t: float | None = None
-    w = 0
-    for ev in events:
-        t = ev.timestamp_cycles
-        if prev_t is not None and stack and w < len(windows):
-            top = stack[-1]
-            # attribute [prev_t, t] across every window it overlaps;
-            # windows fully behind the interval are skipped for good
-            while w < len(windows) and windows[w][1] <= prev_t:
-                w += 1
-            i = w
-            while i < len(windows) and windows[i][0] < t:
-                lo = max(prev_t, windows[i][0])
-                hi = min(t, windows[i][1])
-                if hi > lo:
-                    acc = exclusive[i]
-                    acc[top] = acc.get(top, 0.0) + (hi - lo)
-                i += 1
-        prev_t = t
-        if ev.kind is TraceEventKind.ENTER:
-            stack.append(ev.region)
-        elif ev.kind is TraceEventKind.LEAVE:
-            leave_region(stack, ev.region)
-    return [
-        max(acc.items(), key=lambda kv: (kv[1], kv[0]))[0] if acc else None
-        for acc in exclusive
-    ]

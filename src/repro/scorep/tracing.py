@@ -249,28 +249,72 @@ def leave_region(stack: list[str], region: str) -> int | None:
     return skipped
 
 
-def validate_trace(events: Iterable[TraceEvent]) -> list[TraceIssue]:
-    """Consistency checks a trace analyser would run.
+class StreamWalk(NamedTuple):
+    """What one :func:`walk_stream` pass finds in an event stream."""
 
-    Returns a list of :class:`TraceIssue` records: non-monotonic
-    timestamps and unbalanced enter/leave nesting per region stream.
-    Each defect is reported exactly once: an out-of-order LEAVE
+    #: defect records, in stream order, then one per region left open
+    issues: list[TraceIssue]
+    #: per window, the region with the largest exclusive time inside it
+    tops: list["str | None"]
+    #: every MPI marker with the innermost region open at it (None at
+    #: top level)
+    markers: list[tuple["TraceEvent | RankedTraceEvent", "str | None"]]
+
+
+def walk_stream(
+    events: Iterable["TraceEvent | RankedTraceEvent"],
+    windows: Sequence[tuple[float, float]] = (),
+) -> StreamWalk:
+    """The one pass over a stream that keeps its open-region stack.
+
+    *Defects:* non-monotonic timestamps and unbalanced enter/leave
+    nesting.  Each is reported exactly once: an out-of-order LEAVE
     resynchronises the stack (:func:`leave_region`) instead of leaving
     the mismatched region open and flooding the report with spurious
     ``unclosed-region`` entries for every frame above it.
+
+    *Top regions:* each inter-event interval is attributed to the
+    innermost open region, clipped against the disjoint ascending
+    ``(begin, end)`` ``windows`` (a rank's segment work windows).  MPI
+    markers are instants: the interval they open (the operation's cost)
+    stays attributed to the enclosing region, which is the region a
+    flat profile would blame too.  Inter-event intervals that straddle
+    an alignment jump contain the rank's wait, but work windows end at
+    the rank's arrival (wait excluded), so the clip removes it.
+
+    *Markers:* each MPI event with its enclosing region, for the
+    analyses that match operations across ranks.
     """
     problems: list[TraceIssue] = []
-    last_t = -1.0
+    exclusive: list[dict[str, float]] = [{} for _ in windows]
+    markers: list = []
     stack: list[str] = []
+    last_t = -1.0
+    w = 0
     for ev in events:
-        if ev.timestamp_cycles < last_t:
+        t = ev.timestamp_cycles
+        if t < last_t:
             problems.append(
                 TraceIssue(
                     "timestamp-regression", ev.region,
                     f"timestamp regression at {ev.region}",
                 )
             )
-        last_t = ev.timestamp_cycles
+        if stack and w < len(windows):
+            top = stack[-1]
+            # attribute [last_t, t] across every window it overlaps;
+            # windows fully behind the interval are skipped for good
+            while w < len(windows) and windows[w][1] <= last_t:
+                w += 1
+            i = w
+            while i < len(windows) and windows[i][0] < t:
+                lo = max(last_t, windows[i][0])
+                hi = min(t, windows[i][1])
+                if hi > lo:
+                    acc = exclusive[i]
+                    acc[top] = acc.get(top, 0.0) + (hi - lo)
+                i += 1
+        last_t = t
         if ev.kind is TraceEventKind.ENTER:
             stack.append(ev.region)
         elif ev.kind is TraceEventKind.LEAVE:
@@ -290,7 +334,19 @@ def validate_trace(events: Iterable[TraceEvent]) -> list[TraceIssue]:
                         f"(implicitly closed {skipped} inner region(s))",
                     )
                 )
+        else:
+            markers.append((ev, stack[-1] if stack else None))
     problems.extend(
         TraceIssue("unclosed-region", r, f"unclosed region {r}") for r in stack
     )
-    return problems
+    tops = [
+        max(acc.items(), key=lambda kv: (kv[1], kv[0]))[0] if acc else None
+        for acc in exclusive
+    ]
+    return StreamWalk(problems, tops, markers)
+
+
+def validate_trace(events: Iterable[TraceEvent]) -> list[TraceIssue]:
+    """Consistency checks a trace analyser would run: the defect
+    records of :func:`walk_stream`."""
+    return walk_stream(events).issues

@@ -439,7 +439,7 @@ def read_definitions(trace_dir: str | Path) -> TraceDefinitions:
     path = Path(trace_dir) / DEFINITIONS_NAME
     if not path.exists():
         raise TraceStoreError(f"missing {DEFINITIONS_NAME} in {trace_dir}")
-    payload = _read_json_object(path, "definitions")
+    payload = read_json_object(path, "definitions")
     if payload.get("format_version") != FORMAT_VERSION:
         raise TraceStoreError(
             f"{path}: unsupported format version "
@@ -469,7 +469,9 @@ def read_definitions(trace_dir: str | Path) -> TraceDefinitions:
     return defs
 
 
-def _read_json_object(path: Path, what: str) -> dict:
+def read_json_object(path: Path, what: str) -> dict:
+    """The JSON object in ``path``; undecodable bytes or JSON, or any
+    other JSON value, raise :class:`TraceStoreError` naming ``what``."""
     try:
         payload = json.loads(path.read_text())
     except ValueError as exc:  # undecodable JSON or UTF-8
@@ -527,7 +529,7 @@ def read_health_record(trace_dir: str | Path):
         return None
     from repro.multirank.faults import HealthReport, RankHealth
 
-    payload = _read_json_object(path, "health record")
+    payload = read_json_object(path, "health record")
     try:
         per_rank = payload.get("per_rank")
         if per_rank is not None:

@@ -17,9 +17,9 @@ bit-identical) while holding O(ranks × block) memory:
    block.
 
 The analyses are :class:`~repro.multirank.tracing.MergedTimeline`'s,
-shared with the in-memory merge; they run off sync points and
-single-pass walks over :meth:`StreamingTrace.rank_stream` and
-:meth:`StreamingTrace.timeline` — no full materialisation.
+shared with the in-memory merge; they run off sync points and one
+walk per rank over :meth:`StreamingTrace.rank_stream`, kept for the
+trace's lifetime — no full materialisation.
 """
 
 from __future__ import annotations
@@ -81,9 +81,6 @@ class StreamingTrace(MergedTimeline):
             ),
             self.schedule[pos],
         )
-
-    def timeline(self) -> Iterator[RankedTraceEvent]:
-        return self.events()
 
     def events(self) -> Iterator[RankedTraceEvent]:
         """The merged global timeline, streamed in ``(t, rank)`` order."""

@@ -17,7 +17,8 @@ Point-to-point matching uses the message ids stamped by
 send ``k`` on rank ``r`` ↔ recv ``k`` on rank ``(r+1) % world``), all
 in aligned logical time so cross-rank comparisons are meaningful.
 Works over any :class:`~repro.multirank.tracing.MergedTimeline`, in
-memory or on disk — the walk is a single pass per rank stream.
+memory or on disk, reading the MPI markers of its per-rank walks
+(:attr:`~repro.multirank.tracing.MergedTimeline.walks`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from repro.scorep.tracing import RankedTraceEvent, TraceEventKind, leave_region
 from repro.simmpi.messages import RECV_OPS, SEND_OPS, ring_partner
 
 if TYPE_CHECKING:
@@ -61,49 +61,6 @@ class ClassifiedWait:
         return self.end_cycles - self.begin_cycles
 
 
-@dataclass(frozen=True)
-class _P2PEvent:
-    rank: int
-    mid: int
-    op: str
-    aligned_cycles: float
-    region: str | None
-
-
-def _walk_rank(
-    rank: int, events: Iterable[RankedTraceEvent]
-) -> tuple[list[_P2PEvent], list[_P2PEvent], dict[tuple[int, float, str], str | None]]:
-    """One pass over a rank's aligned stream.
-
-    Collects its sends, its receives, and the enclosing region of each
-    synchronisation event keyed by ``(rank, aligned time, op)`` — by
-    the alignment rule a rank's anchor event lands exactly at the sync
-    point's aligned timestamp, so the key is exact, not fuzzy.
-    """
-    sends: list[_P2PEvent] = []
-    recvs: list[_P2PEvent] = []
-    sync_regions: dict[tuple[int, float, str], str | None] = {}
-    stack: list[str] = []
-    for ev in events:
-        if ev.kind is TraceEventKind.ENTER:
-            stack.append(ev.region)
-        elif ev.kind is TraceEventKind.LEAVE:
-            leave_region(stack, ev.region)
-        elif ev.kind is TraceEventKind.MPI:
-            region = stack[-1] if stack else None
-            if ev.mid is not None and ev.region in SEND_OPS:
-                sends.append(
-                    _P2PEvent(rank, ev.mid, ev.region, ev.timestamp_cycles, region)
-                )
-            elif ev.mid is not None and ev.region in RECV_OPS:
-                recvs.append(
-                    _P2PEvent(rank, ev.mid, ev.region, ev.timestamp_cycles, region)
-                )
-            else:
-                sync_regions[(rank, ev.timestamp_cycles, ev.region)] = region
-    return sends, recvs, sync_regions
-
-
 def classify_wait_states(
     trace: MergedTimeline,
     *,
@@ -115,22 +72,30 @@ def classify_wait_states(
     ``world_ranks`` names the original world size for degraded runs so
     ring partners resolve to true rank ids; defaults to
     ``max(rank_labels) + 1``.
+
+    Sends and receives are keyed ``(rank, message id)``, every other
+    marker ``(rank, aligned time, op)``: by the alignment rule a rank's
+    anchor event lands exactly at the sync point's aligned timestamp,
+    so the key of a collective wait is exact, not fuzzy.
     """
     labels = tuple(trace.rank_labels)
     if world_ranks is None:
         world_ranks = (max(labels) + 1) if labels else 0
     present = set(labels)
 
-    sends_by_key: dict[tuple[int, int], _P2PEvent] = {}
-    recvs_by_key: dict[tuple[int, int], _P2PEvent] = {}
+    # (aligned MPI marker, enclosing region) per key
+    sends_by_key: dict[tuple[int, int], tuple] = {}
+    recvs_by_key: dict[tuple[int, int], tuple] = {}
     sync_regions: dict[tuple[int, float, str], str | None] = {}
-    for pos, rank in enumerate(labels):
-        sends, recvs, regions = _walk_rank(rank, trace.rank_stream(pos))
-        for s in sends:
-            sends_by_key[(s.rank, s.mid)] = s
-        for r in recvs:
-            recvs_by_key[(r.rank, r.mid)] = r
-        sync_regions.update(regions)
+    for rank, walk in zip(labels, trace.walks):
+        for marker in walk.markers:
+            ev, region = marker
+            if ev.mid is not None and ev.region in SEND_OPS:
+                sends_by_key[(rank, ev.mid)] = marker
+            elif ev.mid is not None and ev.region in RECV_OPS:
+                recvs_by_key[(rank, ev.mid)] = marker
+            else:
+                sync_regions[(rank, ev.timestamp_cycles, ev.region)] = region
 
     waits: list[ClassifiedWait] = []
 
@@ -150,35 +115,36 @@ def classify_wait_states(
 
     # point-to-point: pair recv k on rank r with send k on its ring
     # neighbour; whoever acted first waits for the other
-    for (rank, mid), recv in recvs_by_key.items():
+    for (rank, mid), (recv, recv_region) in recvs_by_key.items():
         sender = ring_partner(rank, world_ranks)
         if sender not in present:
             continue  # degraded world: the partner's trace is gone
-        send = sends_by_key.get((sender, mid))
-        if send is None:
+        match = sends_by_key.get((sender, mid))
+        if match is None:
             continue  # ragged tail: send never happened
-        if send.aligned_cycles > recv.aligned_cycles + min_wait_cycles:
+        send, send_region = match
+        if send.timestamp_cycles > recv.timestamp_cycles + min_wait_cycles:
             waits.append(
                 ClassifiedWait(
                     kind=LATE_SENDER,
                     rank=rank,
-                    op=recv.op,
-                    begin_cycles=recv.aligned_cycles,
-                    end_cycles=send.aligned_cycles,
-                    region=recv.region,
+                    op=recv.region,
+                    begin_cycles=recv.timestamp_cycles,
+                    end_cycles=send.timestamp_cycles,
+                    region=recv_region,
                     partner_rank=sender,
                     message_id=mid,
                 )
             )
-        elif recv.aligned_cycles > send.aligned_cycles + min_wait_cycles:
+        elif recv.timestamp_cycles > send.timestamp_cycles + min_wait_cycles:
             waits.append(
                 ClassifiedWait(
                     kind=LATE_RECEIVER,
                     rank=sender,
-                    op=send.op,
-                    begin_cycles=send.aligned_cycles,
-                    end_cycles=recv.aligned_cycles,
-                    region=send.region,
+                    op=send.region,
+                    begin_cycles=send.timestamp_cycles,
+                    end_cycles=recv.timestamp_cycles,
+                    region=send_region,
                     partner_rank=rank,
                     message_id=mid,
                 )

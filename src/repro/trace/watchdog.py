@@ -16,27 +16,30 @@ Rules per run directory:
 * ``trace-orphan-location`` — a location file the definitions don't
   list (a zombie attempt published after the archive closed).
 * ``trace-<issue-code>`` — any streaming-validate defect in the merged
-  timeline (``trace-merge-order``, ``trace-unclosed-region``, ...).
+  timeline (``trace-timestamp-regression``, ``trace-unclosed-region``,
+  ...).
 * ``retried`` / ``lost`` / ``degraded`` — straight from ``health.json``
   via :func:`~repro.trace.alerts.health_alerts`.
 * ``wait-regression`` — the archive's collective-wait fraction
   (sum of rank offsets over ranks × elapsed) exceeds its budget: the
   ``trace_pipeline.healthy_wait_fraction`` baseline in
   ``BENCH_selection.json`` scaled by ``--wait-slack``, or an absolute
-  default when no baseline is available.
+  default when no usable baseline is available (a missing or unreadable
+  file, or a fraction that is not a finite non-negative number).
 
 Healthy archives stay silent — that is asserted in CI.
 """
 
 from __future__ import annotations
 
-import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TextIO
 
+from repro.errors import CapiError
 from repro.trace.alerts import Alert, AlertLog, health_alerts
 from repro.trace.store import (
     DEFINITIONS_NAME,
@@ -46,6 +49,7 @@ from repro.trace.store import (
     location_path,
     read_definitions,
     read_health_record,
+    read_json_object,
 )
 from repro.trace.streaming import open_merged_trace
 
@@ -71,14 +75,22 @@ def _load_baseline_wait_fraction(config: WatchConfig) -> "float | None":
     if not config.baseline_path:
         return None
     path = Path(config.baseline_path)
-    if not path.exists():
+    if not path.is_file():
         return None
     try:
-        record = json.loads(path.read_text())
-    except json.JSONDecodeError:
+        section = read_json_object(path, "baseline").get("trace_pipeline")
+    except TraceStoreError:
         return None
-    fraction = record.get("trace_pipeline", {}).get("healthy_wait_fraction")
-    return float(fraction) if fraction is not None else None
+    fraction = (
+        section.get("healthy_wait_fraction") if isinstance(section, dict) else None
+    )
+    if isinstance(fraction, bool) or not isinstance(fraction, (int, float)):
+        return None
+    try:
+        fraction = float(fraction)
+    except OverflowError:  # an integer literal beyond float range
+        return None
+    return fraction if math.isfinite(fraction) and fraction >= 0.0 else None
 
 
 def scan_run(run_dir: str | Path, *, config: WatchConfig | None = None) -> list[Alert]:
@@ -168,7 +180,7 @@ def scan_run(run_dir: str | Path, *, config: WatchConfig | None = None) -> list[
     if intact:
         try:
             trace = open_merged_trace(run_dir, rank_ids=intact)
-        except (TraceStoreError, ValueError) as exc:
+        except CapiError as exc:
             alerts.append(
                 Alert(
                     code="trace-unmergeable",

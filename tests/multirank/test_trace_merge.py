@@ -127,7 +127,7 @@ class TestAlignment:
         unaligned timeline as one with zero wait everywhere."""
         with_sync = [ev(M, "MPI_Finalize", 10)]
         without = [ev(E, "main", 1), ev(L, "main", 2)]
-        with pytest.raises(ValueError, match="every rank or no rank"):
+        with pytest.raises(CapiError, match="every rank or no rank"):
             merge_rank_traces([with_sync, without])
 
 

@@ -1,0 +1,343 @@
+"""One walk per rank stream ≡ the separate walks it replaced.
+
+``walk_stream`` keeps the only open-region stack over a trace stream;
+validation, the critical path's top regions and the wait-state
+classification all read its result, once per rank.  The four walks it
+replaced are copied in below as references — the single-stream
+validator, the per-segment top-region walk, the wait-state walk, and
+the merged-order check — together with the analyses that read them.
+"""
+
+import tempfile
+from dataclasses import dataclass, replace
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.multirank import merge_rank_traces
+from repro.multirank.tracing import CriticalSegment, segment_windows
+from repro.scorep.tracing import (
+    EventBlock,
+    TraceEventKind,
+    TraceIssue,
+    leave_region,
+)
+from repro.simmpi.messages import RECV_OPS, SEND_OPS, ring_partner
+from repro.trace import classify_wait_states, open_merged_trace, scan_run, streaming
+from repro.trace.store import location_path
+from repro.trace.waitstates import (
+    COLLECTIVE_IMBALANCE,
+    LATE_RECEIVER,
+    LATE_SENDER,
+    ClassifiedWait,
+)
+from tests.trace.conftest import write_archive
+from tests.trace.test_streaming import regressing_stream, ring_streams
+
+# -- references: the separate walks ---------------------------------------------
+
+
+def ref_validate_trace(events):
+    problems = []
+    last_t = -1.0
+    stack = []
+    for ev in events:
+        if ev.timestamp_cycles < last_t:
+            problems.append(
+                TraceIssue(
+                    "timestamp-regression", ev.region,
+                    f"timestamp regression at {ev.region}",
+                )
+            )
+        last_t = ev.timestamp_cycles
+        if ev.kind is TraceEventKind.ENTER:
+            stack.append(ev.region)
+        elif ev.kind is TraceEventKind.LEAVE:
+            skipped = leave_region(stack, ev.region)
+            if skipped is None:
+                problems.append(
+                    TraceIssue(
+                        "unbalanced-leave", ev.region,
+                        f"unbalanced LEAVE {ev.region}",
+                    )
+                )
+            elif skipped:
+                problems.append(
+                    TraceIssue(
+                        "unbalanced-leave-resync", ev.region,
+                        f"unbalanced LEAVE {ev.region} "
+                        f"(implicitly closed {skipped} inner region(s))",
+                    )
+                )
+    problems.extend(
+        TraceIssue("unclosed-region", r, f"unclosed region {r}") for r in stack
+    )
+    return problems
+
+
+def ref_validate_merge_order(events):
+    last_key = (-1.0, -1)
+    for ev in events:
+        key = (ev.timestamp_cycles, ev.rank)
+        if key < last_key:
+            yield TraceIssue(
+                "merge-order",
+                ev.region,
+                f"merged stream out of order at rank {ev.rank} {ev.region}",
+                rank=ev.rank,
+            )
+        last_key = key
+
+
+def ref_top_regions_by_segment(events, windows):
+    exclusive = [{} for _ in windows]
+    stack = []
+    prev_t = None
+    w = 0
+    for ev in events:
+        t = ev.timestamp_cycles
+        if prev_t is not None and stack and w < len(windows):
+            top = stack[-1]
+            while w < len(windows) and windows[w][1] <= prev_t:
+                w += 1
+            i = w
+            while i < len(windows) and windows[i][0] < t:
+                lo = max(prev_t, windows[i][0])
+                hi = min(t, windows[i][1])
+                if hi > lo:
+                    acc = exclusive[i]
+                    acc[top] = acc.get(top, 0.0) + (hi - lo)
+                i += 1
+        prev_t = t
+        if ev.kind is TraceEventKind.ENTER:
+            stack.append(ev.region)
+        elif ev.kind is TraceEventKind.LEAVE:
+            leave_region(stack, ev.region)
+    return [
+        max(acc.items(), key=lambda kv: (kv[1], kv[0]))[0] if acc else None
+        for acc in exclusive
+    ]
+
+
+@dataclass(frozen=True)
+class _P2PEvent:
+    rank: int
+    mid: int
+    op: str
+    aligned_cycles: float
+    region: "str | None"
+
+
+def ref_walk_rank(rank, events):
+    sends, recvs, sync_regions, stack = [], [], {}, []
+    for ev in events:
+        if ev.kind is TraceEventKind.ENTER:
+            stack.append(ev.region)
+        elif ev.kind is TraceEventKind.LEAVE:
+            leave_region(stack, ev.region)
+        elif ev.kind is TraceEventKind.MPI:
+            region = stack[-1] if stack else None
+            if ev.mid is not None and ev.region in SEND_OPS:
+                sends.append(
+                    _P2PEvent(rank, ev.mid, ev.region, ev.timestamp_cycles, region)
+                )
+            elif ev.mid is not None and ev.region in RECV_OPS:
+                recvs.append(
+                    _P2PEvent(rank, ev.mid, ev.region, ev.timestamp_cycles, region)
+                )
+            else:
+                sync_regions[(rank, ev.timestamp_cycles, ev.region)] = region
+    return sends, recvs, sync_regions
+
+
+# -- references: the analyses over those walks ------------------------------------
+
+
+def ref_validate(trace):
+    return [
+        *ref_validate_merge_order(trace.events),
+        *(
+            replace(issue, rank=rank, detail=f"rank {rank}: {issue.detail}")
+            for pos, rank in enumerate(trace.rank_labels)
+            for issue in ref_validate_trace(trace.rank_stream(pos))
+        ),
+    ]
+
+
+def ref_critical_path(trace):
+    if not any(trace.events_per_rank):
+        return []
+    windows = segment_windows(trace.sync_points, trace.last_aligned)
+    tops = [
+        ref_top_regions_by_segment(
+            trace.rank_stream(pos), [window[pos] for window in windows]
+        )
+        for pos in range(trace.ranks)
+    ]
+    ops = ["start", *[sp.op for sp in trace.sync_points], "end"]
+    segments = []
+    for seg in range(len(ops) - 1):
+        durations = [end - begin for begin, end in windows[seg]]
+        pos = max(range(trace.ranks), key=lambda r: (durations[r], -r))
+        segments.append(
+            CriticalSegment(
+                index=seg,
+                begin_op=ops[seg],
+                end_op=ops[seg + 1],
+                rank=trace.rank_labels[pos],
+                duration_cycles=durations[pos],
+                top_region=tops[pos][seg],
+            )
+        )
+    return segments
+
+
+def ref_classify(trace, min_wait_cycles, world_ranks):
+    labels = tuple(trace.rank_labels)
+    present = set(labels)
+    sends_by_key, recvs_by_key, sync_regions = {}, {}, {}
+    for pos, rank in enumerate(labels):
+        sends, recvs, regions = ref_walk_rank(rank, trace.rank_stream(pos))
+        for s in sends:
+            sends_by_key[(s.rank, s.mid)] = s
+        for r in recvs:
+            recvs_by_key[(r.rank, r.mid)] = r
+        sync_regions.update(regions)
+    waits = [
+        ClassifiedWait(
+            kind=COLLECTIVE_IMBALANCE,
+            rank=w.rank,
+            op=w.op,
+            begin_cycles=w.begin_cycles,
+            end_cycles=w.end_cycles,
+            region=sync_regions.get((w.rank, w.end_cycles, w.op)),
+            sync_index=w.sync_index,
+        )
+        for w in trace.wait_states(min_wait_cycles=min_wait_cycles)
+    ]
+    for (rank, mid), recv in recvs_by_key.items():
+        sender = ring_partner(rank, world_ranks)
+        if sender not in present:
+            continue
+        send = sends_by_key.get((sender, mid))
+        if send is None:
+            continue
+        if send.aligned_cycles > recv.aligned_cycles + min_wait_cycles:
+            waits.append(
+                ClassifiedWait(
+                    kind=LATE_SENDER, rank=rank, op=recv.op,
+                    begin_cycles=recv.aligned_cycles,
+                    end_cycles=send.aligned_cycles, region=recv.region,
+                    partner_rank=sender, message_id=mid,
+                )
+            )
+        elif recv.aligned_cycles > send.aligned_cycles + min_wait_cycles:
+            waits.append(
+                ClassifiedWait(
+                    kind=LATE_RECEIVER, rank=sender, op=send.op,
+                    begin_cycles=send.aligned_cycles,
+                    end_cycles=recv.aligned_cycles, region=send.region,
+                    partner_rank=rank, message_id=mid,
+                )
+            )
+    waits.sort(key=lambda w: (-w.wait_cycles, w.rank, w.begin_cycles, w.kind))
+    return waits
+
+
+# -- the walk against the references ---------------------------------------------
+
+
+@st.composite
+def worlds(draw):
+    """Regressing streams with nested regions and point-to-point
+    markers, on a possibly degraded set of true rank ids."""
+    streams = draw(st.lists(regressing_stream(), min_size=1, max_size=5))
+    world = draw(st.integers(len(streams), len(streams) + 2))
+    ids = sorted(draw(st.permutations(range(world)))[: len(streams)])
+    return streams, ids, world
+
+
+class TestOneWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(world=worlds(), min_wait=st.sampled_from([0.0, 0.2, 1.0]))
+    def test_analyses_equal_the_separate_walks(self, world, min_wait):
+        streams, ids, world_ranks = world
+        trace = merge_rank_traces(streams, rank_ids=ids)
+        assert trace.critical_path() == ref_critical_path(trace)
+        assert classify_wait_states(
+            trace, min_wait_cycles=min_wait, world_ranks=world_ranks
+        ) == ref_classify(trace, min_wait, world_ranks)
+
+        reference = ref_validate(trace)
+        issues = trace.validate()
+        assert issues == [i for i in reference if i.code != "merge-order"]
+        regressions = {
+            (i.rank, i.region) for i in issues if i.code == "timestamp-regression"
+        }
+        # a heap merge goes out of order only at a regression in one
+        # rank's own stream, which that rank's walk reports
+        assert {
+            (i.rank, i.region) for i in reference if i.code == "merge-order"
+        } <= regressions
+        if not regressions:
+            keys = [(ev.timestamp_cycles, ev.rank) for ev in trace.events]
+            assert keys == sorted(keys)
+
+    @settings(max_examples=40, deadline=None)
+    @given(streams=st.lists(regressing_stream(), min_size=1, max_size=4))
+    def test_streamed_events_ordered_without_regressions(self, streams):
+        with tempfile.TemporaryDirectory() as td:
+            write_archive(Path(td), dict(enumerate(streams)), buffer_events=3)
+            trace = open_merged_trace(td)
+            keys = [(ev.timestamp_cycles, ev.rank) for ev in trace.events()]
+            if not any(i.code == "timestamp-regression" for i in trace.validate()):
+                assert keys == sorted(keys)
+
+
+class TestReadsPerPostMortem:
+    def test_analyses_open_each_location_once(self, tmp_path, monkeypatch):
+        """After the open's alignment scan, ``validate``, ``critical_path``
+        and ``classify_wait_states`` together read each location file
+        once: the walks are kept on the trace."""
+        streams = ring_streams()
+        write_archive(tmp_path, streams, buffer_events=3)
+        trace = open_merged_trace(tmp_path)
+        opened = []
+        read = streaming.iter_location_blocks
+
+        def counting(path, **kwargs):
+            opened.append(Path(path))
+            return read(path, **kwargs)
+
+        monkeypatch.setattr(streaming, "iter_location_blocks", counting)
+        trace.validate()
+        trace.wait_states()
+        trace.critical_path()
+        classify_wait_states(trace)
+        trace.validate()
+        assert sorted(opened) == [location_path(tmp_path, r) for r in sorted(streams)]
+
+    def test_post_mortem_builds_two_event_objects_per_event(
+        self, tmp_path, monkeypatch
+    ):
+        """One walk per rank for the analyses, one for the watchdog's
+        own open of the archive."""
+        streams = ring_streams()
+        write_archive(tmp_path, streams)
+        built = []
+        ranked = EventBlock.ranked
+
+        def counting(self, rank, times):
+            for event in ranked(self, rank, times):
+                built.append(rank)
+                yield event
+
+        monkeypatch.setattr(EventBlock, "ranked", counting)
+        trace = open_merged_trace(tmp_path)
+        trace.validate()
+        trace.wait_states()
+        trace.critical_path()
+        classify_wait_states(trace)
+        assert scan_run(tmp_path) == []
+        assert len(built) == 2 * sum(len(s) for s in streams.values())

@@ -3,9 +3,13 @@
 import io
 import json
 
+import pytest
+
+from repro.errors import CapiError
 from repro.multirank.faults import HealthReport, RankHealth
 from repro.trace import (
     Alert,
+    open_merged_trace,
     scan_run,
     write_health_record,
 )
@@ -95,6 +99,37 @@ class TestScanRun:
         codes = [a.code for a in scan_run(tmp_path)]
         assert "trace-unclosed-region" in codes
 
+    def test_partly_synchronised_archive_is_unmergeable(self, tmp_path):
+        """Only some ranks record synchronisation events: the merge
+        rejects it with a typed error, and the scan reports it."""
+        write_archive(
+            tmp_path,
+            {
+                0: [ev(E, "main", 1.0), ev(M, "MPI_Finalize", 5.0),
+                    ev(L, "main", 6.0)],
+                1: [ev(E, "main", 1.0), ev(L, "main", 2.0)],
+            },
+        )
+        with pytest.raises(CapiError, match="every rank or no rank"):
+            open_merged_trace(tmp_path)
+        alerts = scan_run(tmp_path)
+        assert [a.code for a in alerts] == ["trace-unmergeable"]
+        assert "every rank or no rank" in alerts[0].detail
+
+    @pytest.mark.parametrize(
+        "reorder",
+        [lambda locs: locs[::-1], lambda locs: [*locs, locs[0]]],
+        ids=["out-of-order", "listed-twice"],
+    )
+    def test_misordered_definitions_rejected_typed(self, tmp_path, reorder):
+        write_archive(tmp_path, healthy_streams())
+        defs_path = tmp_path / "definitions.json"
+        payload = json.loads(defs_path.read_text())
+        payload["locations"] = reorder(payload["locations"])
+        defs_path.write_text(json.dumps(payload))
+        with pytest.raises(CapiError, match="strictly ascending"):
+            open_merged_trace(tmp_path)
+
     def test_health_record_alerts_ride_along(self, tmp_path):
         write_archive(tmp_path, healthy_streams())
         write_health_record(
@@ -169,6 +204,53 @@ class TestWaitRegression:
     def test_healthy_skew_stays_under_budget(self, tmp_path):
         self._skewed(tmp_path, skew=1.0)
         assert scan_run(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pytest.param(b"\xff\xfe not UTF-8", id="not-utf8"),
+            pytest.param(b"{not json", id="not-json"),
+            pytest.param(b"[0.01]", id="array"),
+            pytest.param(b'"0.01"', id="string"),
+            pytest.param(b'{"trace_pipeline": [0.01]}', id="section-array"),
+            *(
+                pytest.param(
+                    b'{"trace_pipeline": {"healthy_wait_fraction": %s}}' % value,
+                    id=name,
+                )
+                for name, value in [
+                    ("fraction-string", b'"0.01"'),
+                    ("fraction-array", b"[0.01]"),
+                    ("fraction-bool", b"true"),
+                    ("fraction-nan", b"NaN"),
+                    ("fraction-infinity", b"Infinity"),
+                    ("fraction-negative", b"-0.01"),
+                    ("fraction-beyond-float", b"1" + b"0" * 400),
+                ]
+            ),
+        ],
+    )
+    def test_unusable_baseline_falls_back_to_default(self, tmp_path, payload):
+        """A baseline file that is not a JSON object holding a finite,
+        non-negative fraction is no baseline: the absolute limit holds,
+        in the scan and in the watch loop."""
+        baseline = tmp_path / "BENCH_selection.json"
+        baseline.write_bytes(payload)
+        run_dir = tmp_path / "runs" / "hang"
+        self._skewed(run_dir, skew=1000.0)
+        config = WatchConfig(baseline_path=str(baseline), wait_fraction_limit=0.25)
+        [regression] = [
+            a for a in scan_run(run_dir, config=config) if a.code == "wait-regression"
+        ]
+        assert regression.threshold == 0.25
+        assert "absolute default" in regression.detail
+        stdout = io.StringIO()
+        total = watch(
+            tmp_path / "runs", once=True, config=config,
+            stdout=stdout, stderr=io.StringIO(),
+        )
+        assert total == 1
+        assert Alert.from_json(stdout.getvalue()).code == "wait-regression"
 
 
 class TestWatchLoop:
