@@ -113,22 +113,7 @@ class Capi:
             if hit is not None and hit[0] is linked:
                 return hit[1]
         spec = load_spec(spec_source, search_paths=self.search_paths)
-        compiled = compile_spec(spec, spec_name=spec_name)
-        selection = evaluate_pipeline(compiled.entry, self.graph)
-        ic = InstrumentationConfig(
-            functions=selection.selected,
-            provenance=ICProvenance(
-                spec_name=spec_name,
-                app_name=self.app_name,
-                selection_seconds=selection.duration_seconds,
-                selected_pre=len(selection.selected),
-            ),
-        )
-        compensation = None
-        if linked is not None:
-            compensation = compensate_inlining(ic, self.graph, linked)
-            ic = compensation.ic
-        outcome = CapiOutcome(ic=ic, selection=selection, compensation=compensation)
+        outcome = self._outcome(spec, spec_name, linked)
         if memoize:
             self._outcomes[memo_key] = (linked, outcome)
             while len(self._outcomes) > _MEMO_CAP:
@@ -182,13 +167,20 @@ class Capi:
         """Run a specification from a ``.capi`` file."""
         spec_path = Path(spec_path)
         spec = load_spec_file(spec_path, search_paths=self.search_paths)
-        compiled = compile_spec(spec, spec_name=spec_path.stem)
         # no whole-outcome memo here: the file may change on disk
+        return self._outcome(spec, spec_path.stem, linked)
+
+    def _outcome(
+        self, spec, spec_name: str, linked: LinkedProgram | None
+    ) -> CapiOutcome:
+        """Compile and evaluate a loaded spec in a fresh context, then
+        compensate inlining when the ``linked`` binaries are given."""
+        compiled = compile_spec(spec, spec_name=spec_name)
         selection = evaluate_pipeline(compiled.entry, self.graph)
         ic = InstrumentationConfig(
             functions=selection.selected,
             provenance=ICProvenance(
-                spec_name=spec_path.stem,
+                spec_name=spec_name,
                 app_name=self.app_name,
                 selection_seconds=selection.duration_seconds,
                 selected_pre=len(selection.selected),

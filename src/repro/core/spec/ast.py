@@ -22,10 +22,6 @@ class StrLit:
 class NumLit:
     value: float
 
-    @property
-    def as_int(self) -> int:
-        return int(self.value)
-
 
 @dataclass(frozen=True)
 class RefExpr:

@@ -38,9 +38,6 @@ class StaticBuild:
     ic: InstrumentationConfig
     rebuild_seconds: float
 
-    def is_instrumented(self, function: str) -> bool:
-        return function in self.ic
-
 
 @dataclass
 class StaticInstrumenter:

@@ -45,11 +45,6 @@ class RunResult:
         """Total runtime in virtual seconds (paper's Ttotal)."""
         return (self.t_init_cycles + self.t_app_cycles) / self.frequency
 
-    @property
-    def overhead_vs(self) -> float:
-        """Placeholder until compared against a vanilla run."""
-        raise AttributeError("use overhead_against(vanilla)")
-
     def overhead_against(self, vanilla: "RunResult") -> float:
         """Relative Ttotal overhead vs an uninstrumented run."""
         if vanilla.t_total <= 0:

@@ -290,31 +290,32 @@ def check_rank_result(result, *, tracing: bool = False) -> None:
                     rank=result.rank,
                 )
     if tracing:
-        from repro.scorep.tracing import walk_stream
+        from repro.scorep.tracing import EventBlock, walk_stream
+        from repro.trace.store import TraceStoreError, iter_location_blocks
 
-        trace = result.trace
-        if trace is None and getattr(result, "trace_meta", None) is not None:
-            # on-disk trace: read the published location file back under
-            # the strict (footer-checked) reader, so byte truncation —
-            # the disk flavour of the corrupt fault — fails the gate
-            from repro.trace.store import TraceStoreError, load_location_file
-
-            try:
-                trace = load_location_file(result.trace_meta.path)
-            except TraceStoreError as exc:
-                raise RankFailedError(
-                    f"rank {result.rank} published an unreadable location "
-                    f"file: {exc}",
-                    rank=result.rank,
-                ) from exc
-        if not trace:
+        meta = getattr(result, "trace_meta", None)
+        if result.trace is None and meta is not None:
+            # on-disk trace: walk the published location file under the
+            # strict (footer-checked) reader, so byte truncation — the
+            # disk flavour of the corrupt fault — fails the gate
+            blocks = iter_location_blocks(meta.path, strict=True)
+        else:
+            blocks = [EventBlock.from_events(result.trace or ())]
+        try:
+            walk = walk_stream(blocks)
+        except TraceStoreError as exc:
+            raise RankFailedError(
+                f"rank {result.rank} published an unreadable location "
+                f"file: {exc}",
+                rank=result.rank,
+            ) from exc
+        if not walk.count:
             raise RankFailedError(
                 f"rank {result.rank} returned no event trace although "
                 f"tracing was requested",
                 rank=result.rank,
             )
-        walk = walk_stream(trace)
-        if not any(ev.region == "MPI_Finalize" for ev, _ in walk.markers):
+        if not any(marker[0] == "MPI_Finalize" for marker in walk.markers):
             raise RankFailedError(
                 f"rank {result.rank} returned a truncated event trace "
                 f"(no MPI_Finalize marker)",

@@ -189,7 +189,6 @@ def execute_rank(built, task: RankTask) -> RankResult:
         ranks=task.ranks,
         workload=task.workload,
         trace_location=task.rank,
-        trace_standalone=False,
     )
     profile = (
         to_dict(outcome.scorep_profile) if outcome.scorep_profile is not None else None
@@ -325,11 +324,8 @@ def run_multirank(
     )
     merged_trace = None
     if tracing and trace_dir is not None:
-        from repro.trace.store import (
-            load_location,
-            write_definitions,
-            write_health_record,
-        )
+        from repro.trace.store import write_definitions, write_health_record
+        from repro.trace.streaming import open_merged_trace
 
         metaless = [r.rank for r in per_rank if r.trace_meta is None]
         if metaless:
@@ -350,10 +346,9 @@ def run_multirank(
             },
         )
         write_health_record(trace_dir, health)
-        merged_trace = merge_rank_traces(
-            [load_location(trace_dir, r.rank) for r in per_rank],
-            rank_ids=[r.rank for r in per_rank],
-        )
+        merged_trace = open_merged_trace(
+            trace_dir, rank_ids=[r.rank for r in per_rank]
+        ).materialize()
     elif tracing:
         traceless = [r.rank for r in per_rank if r.trace is None]
         if traceless:
@@ -454,10 +449,6 @@ class RebalanceOutcome:
     def iterations(self) -> int:
         """Number of rebalanced re-runs performed (baseline excluded)."""
         return len(self.history) - 1
-
-    @property
-    def pop_history(self) -> list[PopReport]:
-        return [it.pop for it in self.history]
 
     @property
     def improvement(self) -> float:

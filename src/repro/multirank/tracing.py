@@ -23,10 +23,10 @@ profile reducer attributes via
 :func:`repro.simmpi.world.finalize_wait`: the two views agree by
 construction (acceptance-tested to within one collective latency).
 
-The analyses live once, on :class:`MergedTimeline`, and read events only
-through its one accessor, ``rank_stream(pos)``, walking each rank once
-(:func:`~repro.scorep.tracing.walk_stream`), so the in-memory
-:class:`MergedTrace` and the on-disk
+The analyses live once, on :class:`MergedTimeline`, and read a rank's
+aligned event blocks only through its one accessor, ``rank_blocks(pos)``,
+walking each rank once (:func:`~repro.scorep.tracing.walk_stream`), so
+the in-memory :class:`MergedTrace` and the on-disk
 :class:`~repro.trace.streaming.StreamingTrace` share them.
 Scalasca-style:
 
@@ -45,7 +45,7 @@ Entry point: ``run_app(..., ranks=N, imbalance=..., tracing=True)`` →
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -61,6 +61,7 @@ from repro.scorep.tracing import (
     TraceEventKind,
     TraceIssue,
     merge_streams,
+    ranked_events,
     walk_stream,
 )
 from repro.simmpi.comm import SYNCHRONIZING
@@ -154,10 +155,11 @@ class CriticalSegment:
 class MergedTimeline:
     """Alignment results and analyses of one merged N-rank timeline.
 
-    A source supplies one accessor, :meth:`rank_stream`; the analyses
-    read its events only through :attr:`walks`, one pass per rank, so
-    the in-memory :class:`MergedTrace` and the on-disk
-    :class:`~repro.trace.streaming.StreamingTrace` run the same code.
+    A source supplies one accessor, :meth:`rank_blocks`; the analyses
+    read its events only through :attr:`walks`, one pass per rank over
+    the block columns, so the in-memory :class:`MergedTrace` and the
+    on-disk :class:`~repro.trace.streaming.StreamingTrace` run the same
+    code and build no event objects.
     """
 
     ranks: int
@@ -174,8 +176,8 @@ class MergedTimeline:
 
     # -- event access (supplied by the source) ---------------------------------
 
-    def rank_stream(self, pos: int) -> Iterable[RankedTraceEvent]:
-        """Aligned, rank-tagged events of the rank at position ``pos``."""
+    def rank_blocks(self, pos: int) -> Iterable[EventBlock]:
+        """Aligned event blocks of the rank at position ``pos``."""
         raise NotImplementedError
 
     @cached_property
@@ -191,7 +193,7 @@ class MergedTimeline:
         """
         windows = segment_windows(self.sync_points, self.last_aligned)
         return [
-            walk_stream(self.rank_stream(pos), [window[pos] for window in windows])
+            walk_stream(self.rank_blocks(pos), [window[pos] for window in windows])
             for pos in range(self.ranks)
         ]
 
@@ -341,15 +343,35 @@ class MergedTimeline:
 
 @dataclass
 class MergedTrace(MergedTimeline):
-    """One rank-tagged, logically-clocked timeline of an N-rank run, in memory."""
+    """One rank-tagged, logically-clocked timeline of an N-rank run, in memory.
 
-    #: the merged stream: aligned timestamps, ordered by (time, rank)
-    events: list[RankedTraceEvent]
-    #: per-rank aligned event streams (rank order), kept for analyses
-    per_rank: list[list[RankedTraceEvent]]
+    Holds each rank's aligned event blocks; the event views
+    (:attr:`events`, :attr:`per_rank`) are built on first use.
+    """
 
-    def rank_stream(self, pos: int) -> list[RankedTraceEvent]:
-        return self.per_rank[pos]
+    #: per rank position, its aligned event blocks
+    blocks: list[list[EventBlock]] = field(repr=False)
+
+    def rank_blocks(self, pos: int) -> list[EventBlock]:
+        return self.blocks[pos]
+
+    def __eq__(self, other: object) -> bool:
+        # the blocks hold arrays: compare the timelines event by event
+        same = MergedTimeline.__eq__(self, other)
+        return same is True and self.events == other.events
+
+    @cached_property
+    def per_rank(self) -> list[list[RankedTraceEvent]]:
+        """Per-rank aligned, rank-tagged event streams (rank order)."""
+        return [
+            list(ranked_events(rank, blocks))
+            for rank, blocks in zip(self.rank_ids, self.blocks)
+        ]
+
+    @cached_property
+    def events(self) -> list[RankedTraceEvent]:
+        """The merged stream: aligned timestamps, ordered by (time, rank)."""
+        return list(merge_streams(self.per_rank))
 
 
 class StreamScan(NamedTuple):
@@ -503,21 +525,21 @@ def replay_schedule(
 
 
 def align_blocks(
-    rank: int,
     blocks: Iterable[EventBlock],
     plan: "list[tuple[float, float]]",
-) -> Iterator[RankedTraceEvent]:
-    """Tag and clock-align one rank's stream, a block at a time.
+) -> Iterator[EventBlock]:
+    """Clock-align one rank's stream, a block at a time.
 
     Replays a :func:`compute_alignment` shift schedule
-    (:func:`replay_schedule`) over each block's timestamps, so a
-    streaming reader aligns in O(block) memory per rank.
+    (:func:`replay_schedule`) over each block's timestamps and yields
+    the block with its ``t`` column aligned, so a streaming reader
+    aligns in O(block) memory per rank.
     """
     columns = schedule_columns(plan)
     passed = 0
     for block in blocks:
         aligned, passed = replay_schedule(columns, block.t, passed)
-        yield from block.ranked(rank, aligned)
+        yield block._replace(t=aligned)
 
 
 def align_scans(
@@ -606,14 +628,11 @@ def merge_rank_traces(
     anything but the streams themselves).
     """
     ids = resolve_rank_ids(len(per_rank_events), rank_ids)
-    blocks = [EventBlock.from_events(s) for s in per_rank_events]
-    alignment, schedule = align_scans(ids, [scan_blocks([b]) for b in blocks])
-    aligned_streams = [
-        list(align_blocks(ids[pos], [block], schedule[pos]))
-        for pos, block in enumerate(blocks)
-    ]
+    blocks = [[EventBlock.from_events(s)] for s in per_rank_events]
+    alignment, schedule = align_scans(ids, [scan_blocks(b) for b in blocks])
     return MergedTrace(
-        **alignment, events=merge_streams(aligned_streams), per_rank=aligned_streams
+        **alignment,
+        blocks=[list(align_blocks(b, plan)) for b, plan in zip(blocks, schedule)],
     )
 
 

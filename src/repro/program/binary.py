@@ -141,11 +141,5 @@ class BinaryObject:
         """
         return sorted(self.symtab, key=lambda s: s.offset)
 
-    def function_id_of(self, name: str) -> int | None:
-        for fid, fname in self.function_ids.items():
-            if fname == name:
-                return fid
-        return None
-
     def hidden_function_names(self) -> set[str]:
         return {s.name for s in self.symtab if s.hidden}

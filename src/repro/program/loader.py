@@ -43,9 +43,6 @@ class LoadedObject:
         """
         return self.binary.is_dso
 
-    def address_of(self, object_offset: int) -> int:
-        return self.base + object_offset
-
     def sled_address(self, record) -> int:
         return self.base + record.offset
 

@@ -18,7 +18,7 @@ from repro.errors import ScorePError
 from repro.execution.clock import VirtualClock
 from repro.execution.costs import CostModel
 from repro.scorep.filter import ScorePFilter
-from repro.scorep.regions import CallTreeNode, FlatRegion, flatten
+from repro.scorep.regions import CallTreeNode
 
 #: cost of cross-checking the runtime filter list for one event
 RUNTIME_FILTER_CHECK = 90.0
@@ -110,9 +110,6 @@ class ScorePMeasurement:
                 f"open; call finalize() first"
             )
         return self.root
-
-    def flat_profile(self) -> dict[str, FlatRegion]:
-        return flatten(self.profile())
 
     # -- internals ----------------------------------------------------------------------
 

@@ -59,10 +59,6 @@ class FlatRegion:
     visits: int = 0
     inclusive_cycles: float = 0.0
 
-    @property
-    def cycles_per_visit(self) -> float:
-        return self.inclusive_cycles / self.visits if self.visits else 0.0
-
 
 def flatten(root: CallTreeNode) -> dict[str, FlatRegion]:
     """Aggregate a call tree into per-region totals.

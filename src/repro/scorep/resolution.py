@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from repro.program.loader import DynamicLoader, LoadedObject
+from repro.program.loader import DynamicLoader
 
 #: cache-miss sentinel (``None`` is a valid cached result)
 _MISS = object()
@@ -90,11 +90,3 @@ class AddressResolver:
             self._injected[addr] = (name, size)
         self._index = None
         self._memo.clear()
-
-    def can_resolve_object(self, lo: LoadedObject) -> bool:
-        """Whether any address of the given object would resolve."""
-        if lo.binary.name == self.executable_name:
-            return True
-        return any(
-            lo.region.contains(addr) for addr in self._injected
-        )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -74,9 +75,11 @@ KIND_CODE = {kind: code for code, kind in enumerate(EVENT_KINDS)}
 class EventBlock(NamedTuple):
     """A run of one location's events, column by column.
 
-    The on-disk store reads a location back one block at a time in this
-    form, and the in-memory merge passes each rank's event list as one
-    block, so the multi-rank alignment runs on columns for both.
+    The one form a rank's stream takes once recorded: the on-disk store
+    reads a location back one block at a time in this form, the
+    in-memory merge passes each rank's event list as one block, and the
+    alignment, the walk and the rank gate read the columns, so only the
+    event views (:meth:`events`, :func:`ranked_events`) build objects.
     """
 
     #: kind code per event (index into :data:`EVENT_KINDS`)
@@ -111,38 +114,40 @@ class EventBlock(NamedTuple):
             tuple(ids),
         )
 
-    def events(self) -> Iterator[TraceEvent]:
+    def rows(self) -> Iterator[tuple[TraceEventKind, str, float, "int | None"]]:
+        """Each event's ``(kind, region, timestamp, mid)`` as plain values."""
         kinds, names = EVENT_KINDS, self.names
         for k, r, t, m in zip(
             self.kind.tolist(), self.region.tolist(), self.t.tolist(),
             self.mid.tolist(),
         ):
-            yield TraceEvent(kinds[k], names[r], t, None if m < 0 else m)
+            yield kinds[k], names[r], t, None if m < 0 else m
 
-    def ranked(self, rank: int, times: np.ndarray) -> Iterator[RankedTraceEvent]:
-        """The block's events tagged with ``rank``, at timestamps ``times``."""
-        kinds, names = EVENT_KINDS, self.names
-        for k, r, t, m in zip(
-            self.kind.tolist(), self.region.tolist(), times.tolist(),
-            self.mid.tolist(),
-        ):
-            yield RankedTraceEvent(rank, kinds[k], names[r], t, None if m < 0 else m)
+    def events(self) -> Iterator[TraceEvent]:
+        return (TraceEvent(*row) for row in self.rows())
+
+
+def ranked_events(
+    rank: int, blocks: Iterable[EventBlock]
+) -> Iterator[RankedTraceEvent]:
+    """A rank's blocks as events tagged with ``rank``."""
+    for block in blocks:
+        for row in block.rows():
+            yield RankedTraceEvent(rank, *row)
 
 
 def merge_streams(
-    streams: Sequence[Sequence[RankedTraceEvent]],
-) -> list[RankedTraceEvent]:
+    streams: Iterable[Iterable[RankedTraceEvent]],
+) -> Iterator[RankedTraceEvent]:
     """Interleave per-rank streams into one globally ordered timeline.
 
     Each input stream must be timestamp-monotone (which per-rank tracer
-    output always is); the merge is a k-way heap merge ordered by
+    output always is); the merge is a lazy k-way heap merge ordered by
     ``(timestamp, rank)``, so cross-rank timestamp ties deterministically
     break toward the lower rank and the result is bit-stable regardless
     of which backend produced the inputs.
     """
-    return list(
-        heapq.merge(*streams, key=lambda ev: (ev.timestamp_cycles, ev.rank))
-    )
+    return heapq.merge(*streams, key=lambda ev: (ev.timestamp_cycles, ev.rank))
 
 
 @dataclass
@@ -256,22 +261,26 @@ class StreamWalk(NamedTuple):
     issues: list[TraceIssue]
     #: per window, the region with the largest exclusive time inside it
     tops: list["str | None"]
-    #: every MPI marker with the innermost region open at it (None at
-    #: top level)
-    markers: list[tuple["TraceEvent | RankedTraceEvent", "str | None"]]
+    #: every MPI marker as ``(op, timestamp, mid, enclosing region)``
+    #: (enclosing None at top level)
+    markers: list[tuple[str, float, "int | None", "str | None"]]
+    #: events walked
+    count: int
 
 
 def walk_stream(
-    events: Iterable["TraceEvent | RankedTraceEvent"],
+    blocks: Iterable[EventBlock],
     windows: Sequence[tuple[float, float]] = (),
 ) -> StreamWalk:
-    """The one pass over a stream that keeps its open-region stack.
+    """The one pass over a stream's blocks that keeps its open-region
+    stack; it reads the columns and builds no event objects.
 
     *Defects:* non-monotonic timestamps and unbalanced enter/leave
     nesting.  Each is reported exactly once: an out-of-order LEAVE
     resynchronises the stack (:func:`leave_region`) instead of leaving
     the mismatched region open and flooding the report with spurious
-    ``unclosed-region`` entries for every frame above it.
+    ``unclosed-region`` entries for every frame above it.  The first
+    event has no predecessor, so it never regresses.
 
     *Top regions:* each inter-event interval is attributed to the
     innermost open region, clipped against the disjoint ascending
@@ -289,53 +298,55 @@ def walk_stream(
     exclusive: list[dict[str, float]] = [{} for _ in windows]
     markers: list = []
     stack: list[str] = []
-    last_t = -1.0
+    last_t = -math.inf
     w = 0
-    for ev in events:
-        t = ev.timestamp_cycles
-        if t < last_t:
-            problems.append(
-                TraceIssue(
-                    "timestamp-regression", ev.region,
-                    f"timestamp regression at {ev.region}",
-                )
-            )
-        if stack and w < len(windows):
-            top = stack[-1]
-            # attribute [last_t, t] across every window it overlaps;
-            # windows fully behind the interval are skipped for good
-            while w < len(windows) and windows[w][1] <= last_t:
-                w += 1
-            i = w
-            while i < len(windows) and windows[i][0] < t:
-                lo = max(last_t, windows[i][0])
-                hi = min(t, windows[i][1])
-                if hi > lo:
-                    acc = exclusive[i]
-                    acc[top] = acc.get(top, 0.0) + (hi - lo)
-                i += 1
-        last_t = t
-        if ev.kind is TraceEventKind.ENTER:
-            stack.append(ev.region)
-        elif ev.kind is TraceEventKind.LEAVE:
-            skipped = leave_region(stack, ev.region)
-            if skipped is None:
+    count = 0
+    for block in blocks:
+        count += len(block.t)
+        for kind, region, t, mid in block.rows():
+            if t < last_t:
                 problems.append(
                     TraceIssue(
-                        "unbalanced-leave", ev.region,
-                        f"unbalanced LEAVE {ev.region}",
+                        "timestamp-regression", region,
+                        f"timestamp regression at {region}",
                     )
                 )
-            elif skipped:
-                problems.append(
-                    TraceIssue(
-                        "unbalanced-leave-resync", ev.region,
-                        f"unbalanced LEAVE {ev.region} "
-                        f"(implicitly closed {skipped} inner region(s))",
+            if stack and w < len(windows):
+                top = stack[-1]
+                # attribute [last_t, t] across every window it overlaps;
+                # windows fully behind the interval are skipped for good
+                while w < len(windows) and windows[w][1] <= last_t:
+                    w += 1
+                i = w
+                while i < len(windows) and windows[i][0] < t:
+                    lo = max(last_t, windows[i][0])
+                    hi = min(t, windows[i][1])
+                    if hi > lo:
+                        acc = exclusive[i]
+                        acc[top] = acc.get(top, 0.0) + (hi - lo)
+                    i += 1
+            last_t = t
+            if kind is TraceEventKind.ENTER:
+                stack.append(region)
+            elif kind is TraceEventKind.LEAVE:
+                skipped = leave_region(stack, region)
+                if skipped is None:
+                    problems.append(
+                        TraceIssue(
+                            "unbalanced-leave", region,
+                            f"unbalanced LEAVE {region}",
+                        )
                     )
-                )
-        else:
-            markers.append((ev, stack[-1] if stack else None))
+                elif skipped:
+                    problems.append(
+                        TraceIssue(
+                            "unbalanced-leave-resync", region,
+                            f"unbalanced LEAVE {region} "
+                            f"(implicitly closed {skipped} inner region(s))",
+                        )
+                    )
+            else:
+                markers.append((region, t, mid, stack[-1] if stack else None))
     problems.extend(
         TraceIssue("unclosed-region", r, f"unclosed region {r}") for r in stack
     )
@@ -343,10 +354,10 @@ def walk_stream(
         max(acc.items(), key=lambda kv: (kv[1], kv[0]))[0] if acc else None
         for acc in exclusive
     ]
-    return StreamWalk(problems, tops, markers)
+    return StreamWalk(problems, tops, markers, count)
 
 
 def validate_trace(events: Iterable[TraceEvent]) -> list[TraceIssue]:
     """Consistency checks a trace analyser would run: the defect
     records of :func:`walk_stream`."""
-    return walk_stream(events).issues
+    return walk_stream([EventBlock.from_events(events)]).issues

@@ -35,8 +35,6 @@ LIFECYCLE = {"MPI_Init", "MPI_Finalize"}
 #: (fast ranks blocking for the bottleneck) to MPI rather than compute.
 SYNCHRONIZING = {"MPI_Barrier", "MPI_Allreduce", "MPI_Allgather", "MPI_Alltoall"}
 
-KNOWN_OPS = POINT_TO_POINT | COLLECTIVES | LIFECYCLE | {"MPI_Comm_rank", "MPI_Comm_size"}
-
 
 @dataclass(frozen=True)
 class CommCosts:
@@ -75,9 +73,6 @@ class SimComm:
         if op in POINT_TO_POINT:
             return transfer
         raise SimMpiError(f"unknown MPI operation {op!r}")
-
-    def is_mpi_op(self, name: str) -> bool:
-        return name in KNOWN_OPS or name.startswith("MPI_")
 
     def is_synchronizing(self, name: str) -> bool:
         """True for operations no rank can exit before all ranks enter."""

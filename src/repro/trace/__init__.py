@@ -17,9 +17,7 @@ from repro.trace.store import (
     TraceStoreError,
     TraceWriter,
     discover_ranks,
-    iter_location,
     load_location,
-    load_location_file,
     location_path,
     read_definitions,
     read_health_record,
@@ -48,9 +46,7 @@ __all__ = [
     "classify_wait_states",
     "discover_ranks",
     "health_alerts",
-    "iter_location",
     "load_location",
-    "load_location_file",
     "location_path",
     "open_merged_trace",
     "read_definitions",

@@ -340,35 +340,17 @@ def _read_names(
     return None
 
 
-def iter_location_file(
-    path: str | Path, *, strict: bool = True
-) -> Iterator[TraceEvent]:
-    """Stream one location file back as :class:`TraceEvent`s.
-
-    Built on :func:`iter_location_blocks`, with the same damage rules:
-    events before the damage are yielded first, then ``strict=True``
-    raises :class:`TraceStoreError`.
-    """
-    for block in iter_location_blocks(path, strict=strict):
-        yield from block.events()
-
-
-def iter_location(
-    trace_dir: str | Path, rank: int, *, strict: bool = True
-) -> Iterator[TraceEvent]:
-    return iter_location_file(location_path(trace_dir, rank), strict=strict)
-
-
 def load_location(
     trace_dir: str | Path, rank: int, *, strict: bool = True
 ) -> list[TraceEvent]:
-    return list(iter_location(trace_dir, rank, strict=strict))
-
-
-def load_location_file(
-    path: str | Path, *, strict: bool = True
-) -> list[TraceEvent]:
-    return list(iter_location_file(path, strict=strict))
+    """One location's events as :class:`TraceEvent` objects, read through
+    :func:`iter_location_blocks` under its damage rules."""
+    path = location_path(trace_dir, rank)
+    return [
+        event
+        for block in iter_location_blocks(path, strict=strict)
+        for event in block.events()
+    ]
 
 
 def count_location_events(path: str | Path, *, strict: bool = False) -> int:

@@ -11,21 +11,22 @@ bit-identical) while holding O(ranks × block) memory:
    (:func:`~repro.multirank.tracing.scan_blocks`).
    :func:`~repro.multirank.tracing.align_scans` then solves the logical
    clocks — the same pass the in-memory merge runs.
-2. **Merge pass** — ``heapq.merge`` over per-location block readers
-   wrapped in :func:`~repro.multirank.tracing.align_blocks`, keyed
-   ``(timestamp, rank)``.  At any moment each reader holds one decoded
-   block.
+2. **Merge pass** — :func:`~repro.scorep.tracing.merge_streams`, the
+   ``(timestamp, rank)`` heap merge the in-memory merge uses too, over
+   per-location block readers wrapped in
+   :func:`~repro.multirank.tracing.align_blocks`.  At any moment each
+   reader holds one decoded block.
 
 The analyses are :class:`~repro.multirank.tracing.MergedTimeline`'s,
 shared with the in-memory merge; they run off sync points and one
-walk per rank over :meth:`StreamingTrace.rank_stream`, kept for the
-trace's lifetime — no full materialisation.
+walk per rank over the aligned blocks of
+:meth:`StreamingTrace.rank_blocks`, kept for the trace's lifetime — no
+full materialisation and no event objects.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -34,15 +35,18 @@ from repro.multirank.tracing import (
     MergedTrace,
     align_blocks,
     align_scans,
-    merge_rank_traces,
     resolve_rank_ids,
     scan_blocks,
 )
-from repro.scorep.tracing import RankedTraceEvent
+from repro.scorep.tracing import (
+    EventBlock,
+    RankedTraceEvent,
+    merge_streams,
+    ranked_events,
+)
 from repro.trace.store import (
     TraceStoreError,
     discover_ranks,
-    iter_location,
     iter_location_blocks,
     location_path,
     read_definitions,
@@ -71,32 +75,31 @@ class StreamingTrace(MergedTimeline):
     wait_states = MergedTimeline.wait_states
     critical_path = MergedTimeline.critical_path
 
-    def rank_stream(self, pos: int) -> Iterator[RankedTraceEvent]:
-        """Rank at position ``pos``, aligned and tagged, streamed."""
-        rank = self.rank_ids[pos]
+    def rank_blocks(self, pos: int) -> Iterator[EventBlock]:
+        """Rank at position ``pos``, aligned, streamed a block at a time."""
         return align_blocks(
-            rank,
             iter_location_blocks(
-                location_path(self.trace_dir, rank), strict=self.strict
+                location_path(self.trace_dir, self.rank_ids[pos]),
+                strict=self.strict,
             ),
             self.schedule[pos],
         )
 
     def events(self) -> Iterator[RankedTraceEvent]:
         """The merged global timeline, streamed in ``(t, rank)`` order."""
-        return heapq.merge(
-            *(self.rank_stream(pos) for pos in range(self.ranks)),
-            key=lambda ev: (ev.timestamp_cycles, ev.rank),
+        return merge_streams(
+            [
+                ranked_events(rank, self.rank_blocks(pos))
+                for pos, rank in enumerate(self.rank_ids)
+            ]
         )
 
     def materialize(self) -> MergedTrace:
-        """Load everything and build the in-memory equivalent."""
-        return merge_rank_traces(
-            [
-                list(iter_location(self.trace_dir, rank, strict=self.strict))
-                for rank in self.rank_ids
-            ],
-            rank_ids=self.rank_ids,
+        """The in-memory equivalent: this trace's alignment, with every
+        rank's aligned blocks read once and kept."""
+        return MergedTrace(
+            **{f.name: getattr(self, f.name) for f in fields(MergedTimeline)},
+            blocks=[list(self.rank_blocks(pos)) for pos in range(self.ranks)],
         )
 
 

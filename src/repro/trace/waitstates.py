@@ -83,19 +83,19 @@ def classify_wait_states(
         world_ranks = (max(labels) + 1) if labels else 0
     present = set(labels)
 
-    # (aligned MPI marker, enclosing region) per key
+    # (op, aligned time, mid, enclosing region) marker per key
     sends_by_key: dict[tuple[int, int], tuple] = {}
     recvs_by_key: dict[tuple[int, int], tuple] = {}
     sync_regions: dict[tuple[int, float, str], str | None] = {}
     for rank, walk in zip(labels, trace.walks):
         for marker in walk.markers:
-            ev, region = marker
-            if ev.mid is not None and ev.region in SEND_OPS:
-                sends_by_key[(rank, ev.mid)] = marker
-            elif ev.mid is not None and ev.region in RECV_OPS:
-                recvs_by_key[(rank, ev.mid)] = marker
+            op, t, mid, region = marker
+            if mid is not None and op in SEND_OPS:
+                sends_by_key[(rank, mid)] = marker
+            elif mid is not None and op in RECV_OPS:
+                recvs_by_key[(rank, mid)] = marker
             else:
-                sync_regions[(rank, ev.timestamp_cycles, ev.region)] = region
+                sync_regions[(rank, t, op)] = region
 
     waits: list[ClassifiedWait] = []
 
@@ -115,35 +115,35 @@ def classify_wait_states(
 
     # point-to-point: pair recv k on rank r with send k on its ring
     # neighbour; whoever acted first waits for the other
-    for (rank, mid), (recv, recv_region) in recvs_by_key.items():
+    for (rank, mid), (recv_op, recv_t, _, recv_region) in recvs_by_key.items():
         sender = ring_partner(rank, world_ranks)
         if sender not in present:
             continue  # degraded world: the partner's trace is gone
         match = sends_by_key.get((sender, mid))
         if match is None:
             continue  # ragged tail: send never happened
-        send, send_region = match
-        if send.timestamp_cycles > recv.timestamp_cycles + min_wait_cycles:
+        send_op, send_t, _, send_region = match
+        if send_t > recv_t + min_wait_cycles:
             waits.append(
                 ClassifiedWait(
                     kind=LATE_SENDER,
                     rank=rank,
-                    op=recv.region,
-                    begin_cycles=recv.timestamp_cycles,
-                    end_cycles=send.timestamp_cycles,
+                    op=recv_op,
+                    begin_cycles=recv_t,
+                    end_cycles=send_t,
                     region=recv_region,
                     partner_rank=sender,
                     message_id=mid,
                 )
             )
-        elif recv.timestamp_cycles > send.timestamp_cycles + min_wait_cycles:
+        elif recv_t > send_t + min_wait_cycles:
             waits.append(
                 ClassifiedWait(
                     kind=LATE_RECEIVER,
                     rank=sender,
-                    op=send.region,
-                    begin_cycles=send.timestamp_cycles,
-                    end_cycles=recv.timestamp_cycles,
+                    op=send_op,
+                    begin_cycles=send_t,
+                    end_cycles=recv_t,
                     region=send_region,
                     partner_rank=rank,
                     message_id=mid,

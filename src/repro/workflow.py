@@ -288,8 +288,7 @@ def run_app(
     faults: "object | None" = None,
     degraded: str = "forbid",
     trace_dir: "str | None" = None,
-    trace_location: int = 0,
-    trace_standalone: bool = True,
+    trace_location: int | None = None,
 ) -> RunOutcome:
     """Execute one instrumentation/measurement configuration.
 
@@ -303,13 +302,14 @@ def run_app(
     :mod:`repro.trace.store`) and ``outcome.trace_meta`` summarises the
     closed location.  On the single-rank path the event list is then
     only on disk (``outcome.tracer.all_events()`` raises; read it back
-    with :func:`repro.trace.store.load_location`).  ``trace_location``
-    names the location (rank) id; ``trace_standalone=False`` suppresses
-    the global definitions write for callers (the rank scheduler) that
-    publish their own archive-level tables.  On the multi-rank path
-    every rank writes its own location file from inside its worker —
-    trace payloads never travel through result pickles — and the parent
-    publishes definitions plus a ``health.json`` supervision record.
+    with :func:`repro.trace.store.load_location`).  The default
+    ``trace_location=None`` writes a standalone archive, location 0 and
+    its global definitions; an int names one rank of a world whose
+    scheduler publishes the archive-level tables itself.  On the
+    multi-rank path every rank writes its own location file from inside
+    its worker — trace payloads never travel through result pickles —
+    and the parent publishes definitions plus a ``health.json``
+    supervision record.
 
     Passing ``imbalance=ImbalanceSpec(...)`` switches to the multi-rank
     path (``ImbalanceSpec()`` is a uniform world): the app executes once
@@ -414,7 +414,7 @@ def run_app(
     if trace_dir is not None:
         from repro.trace.store import TraceWriter
 
-        trace_writer = TraceWriter(trace_dir, trace_location)
+        trace_writer = TraceWriter(trace_dir, trace_location or 0)
 
     if dyn is not None:
         xray_rt = dyn.xray
@@ -478,7 +478,7 @@ def run_app(
     if outcome.tracer is not None and trace_writer is not None:
         meta = outcome.tracer.close_writer()
         outcome.trace_meta = meta
-        if trace_standalone:
+        if trace_location is None:
             from repro.trace.store import write_definitions
 
             write_definitions(

@@ -142,7 +142,7 @@ class TestRankTaggedStreams:
              RankedTraceEvent(0, TraceEventKind.LEAVE, "x", 5.0)]
         b = [RankedTraceEvent(1, TraceEventKind.ENTER, "y", 1.0),
              RankedTraceEvent(1, TraceEventKind.LEAVE, "y", 3.0)]
-        merged = merge_streams([a, b])
+        merged = list(merge_streams([a, b]))
         assert [(ev.timestamp_cycles, ev.rank) for ev in merged] == [
             (1.0, 0), (1.0, 1), (3.0, 1), (5.0, 0),
         ]
@@ -150,7 +150,7 @@ class TestRankTaggedStreams:
     def test_merge_streams_is_input_order_invariant(self):
         a = [RankedTraceEvent(0, TraceEventKind.ENTER, "x", 2.0)]
         b = [RankedTraceEvent(1, TraceEventKind.ENTER, "y", 1.0)]
-        assert merge_streams([a, b]) == merge_streams([b, a])
+        assert list(merge_streams([a, b])) == list(merge_streams([b, a]))
 
     def test_ranked_event_is_hashable_value_object(self):
         ev = RankedTraceEvent(0, TraceEventKind.MPI, "MPI_Barrier", 7.0)

@@ -14,7 +14,6 @@ from repro.trace import (
     TraceWriter,
     discover_ranks,
     load_location,
-    load_location_file,
     location_path,
     read_definitions,
     read_health_record,
@@ -30,7 +29,6 @@ from repro.trace.store import (
     RECORD,
     count_location_events,
     iter_location_blocks,
-    iter_location_file,
 )
 from tests.trace.conftest import E, L, M, ev
 
@@ -150,14 +148,14 @@ class TestTruncationDetection:
         path = self._published(tmp_path)
         path.write_bytes(path.read_bytes()[: -FOOTER.size])
         with pytest.raises(TraceStoreError, match="missing footer"):
-            load_location_file(path)
+            load_location(tmp_path, 0)
 
     def test_byte_truncation_raises_strict(self, tmp_path):
         path = self._published(tmp_path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(TraceStoreError):
-            load_location_file(path)
+            load_location(tmp_path, 0)
 
     def test_count_mismatch_raises_strict(self, tmp_path):
         path = self._published(tmp_path, n=10)
@@ -169,7 +167,7 @@ class TestTruncationDetection:
         del data[records_end - RECORD.itemsize : records_end]
         path.write_bytes(bytes(data))
         with pytest.raises(TraceStoreError, match="footer declares"):
-            load_location_file(path)
+            load_location(tmp_path, 0)
 
     def test_prefix_salvageable_before_error(self, tmp_path):
         """Strict readers yield the intact prefix first, then raise —
@@ -179,8 +177,8 @@ class TestTruncationDetection:
         path.write_bytes(data[: len(data) // 2])
         salvaged = []
         with pytest.raises(TraceStoreError):
-            for event in iter_location_file(path):
-                salvaged.append(event)
+            for block in iter_location_blocks(path):
+                salvaged.extend(block.events())
         assert 0 < len(salvaged) < 10
 
     def test_lenient_count_of_truncated_file(self, tmp_path):
@@ -264,16 +262,16 @@ class TestBinaryLayout:
     def test_non_finite_timestamp_rejected(self, tmp_path, bad):
         path = self._published(tmp_path, [ev(E, "a", 1.0), ev(L, "a", bad)])
         with pytest.raises(TraceStoreError, match="bad record"):
-            load_location_file(path)
+            load_location(tmp_path, 0)
         # lenient reads keep the intact prefix
-        assert load_location_file(path, strict=False) == [ev(E, "a", 1.0)]
+        assert load_location(tmp_path, 0, strict=False) == [ev(E, "a", 1.0)]
 
     def test_json_lines_file_rejected(self, tmp_path):
         path = location_path(tmp_path, 0)
         path.write_text('["H", 1, 0]\n["D", 0, "a"]\n[0, 0, 1.0]\n["F", 1]\n')
         for strict in (True, False):
             with pytest.raises(TraceStoreError, match="not a location file"):
-                load_location_file(path, strict=strict)
+                load_location(tmp_path, 0, strict=strict)
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = self._published(tmp_path, sample_events(4))
@@ -282,22 +280,22 @@ class TestBinaryLayout:
         HEADER.pack_into(data, 0, magic, version + 1, rank)
         path.write_bytes(bytes(data))
         with pytest.raises(TraceStoreError, match="unsupported format version"):
-            load_location_file(path)
+            load_location(tmp_path, 0)
 
     def test_bytes_after_footer_rejected(self, tmp_path):
         events = sample_events(4)
         path = self._published(tmp_path, events)
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(TraceStoreError, match="bytes after the footer"):
-            load_location_file(path)
-        assert load_location_file(path, strict=False) == events
+            load_location(tmp_path, 0)
+        assert load_location(tmp_path, 0, strict=False) == events
 
     def test_undecodable_name_rejected(self, tmp_path):
         path = self._published(tmp_path, [ev(E, "ab", 1.0)])
         data = path.read_bytes().replace(b"ab", b"\xff\xfe")
         path.write_bytes(data)
         with pytest.raises(TraceStoreError, match="undecodable region name"):
-            load_location_file(path)
+            load_location(tmp_path, 0)
 
     @pytest.mark.parametrize("field, value", [("kind", 3), ("region", 1)])
     def test_bad_kind_or_region_rejected(self, tmp_path, field, value):
@@ -311,7 +309,7 @@ class TestBinaryLayout:
         data[records_end - RECORD.itemsize : records_end] = last.tobytes()
         path.write_bytes(bytes(data))
         with pytest.raises(TraceStoreError, match="event 1: bad record"):
-            load_location_file(path)
+            load_location(tmp_path, 0)
 
     def test_writer_rejects_negative_mid(self, tmp_path):
         writer = TraceWriter(tmp_path, 0)

@@ -15,10 +15,13 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.multirank import merge_rank_traces
+from repro.core.ic import InstrumentationConfig
+from repro.execution.workload import Workload
+from repro.multirank import ImbalanceSpec, merge_rank_traces
 from repro.multirank.tracing import CriticalSegment, segment_windows
 from repro.scorep.tracing import (
-    EventBlock,
+    RankedTraceEvent,
+    TraceEvent,
     TraceEventKind,
     TraceIssue,
     leave_region,
@@ -32,7 +35,9 @@ from repro.trace.waitstates import (
     LATE_SENDER,
     ClassifiedWait,
 )
-from tests.trace.conftest import write_archive
+from repro.workflow import build_app, run_app
+from tests.conftest import make_demo_builder
+from tests.trace.conftest import E, L, ev, write_archive
 from tests.trace.test_streaming import regressing_stream, ring_streams
 
 # -- references: the separate walks ---------------------------------------------
@@ -40,7 +45,7 @@ from tests.trace.test_streaming import regressing_stream, ring_streams
 
 def ref_validate_trace(events):
     problems = []
-    last_t = -1.0
+    last_t = float("-inf")
     stack = []
     for ev in events:
         if ev.timestamp_cycles < last_t:
@@ -77,7 +82,7 @@ def ref_validate_trace(events):
 
 
 def ref_validate_merge_order(events):
-    last_key = (-1.0, -1)
+    last_key = (float("-inf"), -1)
     for ev in events:
         key = (ev.timestamp_cycles, ev.rank)
         if key < last_key:
@@ -154,13 +159,18 @@ def ref_walk_rank(rank, events):
 # -- references: the analyses over those walks ------------------------------------
 
 
+def rank_events(trace, pos):
+    """The aligned events of the rank at ``pos``, as objects."""
+    return [ev for block in trace.rank_blocks(pos) for ev in block.events()]
+
+
 def ref_validate(trace):
     return [
         *ref_validate_merge_order(trace.events),
         *(
             replace(issue, rank=rank, detail=f"rank {rank}: {issue.detail}")
             for pos, rank in enumerate(trace.rank_labels)
-            for issue in ref_validate_trace(trace.rank_stream(pos))
+            for issue in ref_validate_trace(rank_events(trace, pos))
         ),
     ]
 
@@ -171,7 +181,7 @@ def ref_critical_path(trace):
     windows = segment_windows(trace.sync_points, trace.last_aligned)
     tops = [
         ref_top_regions_by_segment(
-            trace.rank_stream(pos), [window[pos] for window in windows]
+            rank_events(trace, pos), [window[pos] for window in windows]
         )
         for pos in range(trace.ranks)
     ]
@@ -198,7 +208,7 @@ def ref_classify(trace, min_wait_cycles, world_ranks):
     present = set(labels)
     sends_by_key, recvs_by_key, sync_regions = {}, {}, {}
     for pos, rank in enumerate(labels):
-        sends, recvs, regions = ref_walk_rank(rank, trace.rank_stream(pos))
+        sends, recvs, regions = ref_walk_rank(rank, rank_events(trace, pos))
         for s in sends:
             sends_by_key[(s.rank, s.mid)] = s
         for r in recvs:
@@ -284,6 +294,11 @@ class TestOneWalk:
             keys = [(ev.timestamp_cycles, ev.rank) for ev in trace.events]
             assert keys == sorted(keys)
 
+    def test_first_event_never_regresses(self):
+        """The first event has no predecessor, whatever its timestamp."""
+        trace = merge_rank_traces([[ev(E, "a", -4.0), ev(L, "a", -3.0)]])
+        assert trace.validate() == []
+
     @settings(max_examples=40, deadline=None)
     @given(streams=st.lists(regressing_stream(), min_size=1, max_size=4))
     def test_streamed_events_ordered_without_regressions(self, streams):
@@ -318,26 +333,38 @@ class TestReadsPerPostMortem:
         trace.validate()
         assert sorted(opened) == [location_path(tmp_path, r) for r in sorted(streams)]
 
-    def test_post_mortem_builds_two_event_objects_per_event(
+    def test_traced_world_and_post_mortem_build_no_event_objects(
         self, tmp_path, monkeypatch
     ):
-        """One walk per rank for the analyses, one for the watchdog's
-        own open of the archive."""
-        streams = ring_streams()
-        write_archive(tmp_path, streams)
-        built = []
-        ranked = EventBlock.ranked
+        """Past the events each rank's tracer records, a traced 8-rank
+        world and its post-mortem build no event objects: the rank gate,
+        the in-world merge and every walk read block columns."""
+        built = {TraceEvent: 0, RankedTraceEvent: 0}
+        for cls in built:
 
-        def counting(self, rank, times):
-            for event in ranked(self, rank, times):
-                built.append(rank)
-                yield event
+            def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                built[_cls] += 1
+                _init(self, *args, **kwargs)
 
-        monkeypatch.setattr(EventBlock, "ranked", counting)
+            monkeypatch.setattr(cls, "__init__", counting)
+        out = run_app(
+            build_app(make_demo_builder().build()),
+            mode="ic",
+            tool="scorep",
+            ic=InstrumentationConfig(functions=frozenset({"kernel", "solve"})),
+            ranks=8,
+            workload=Workload(site_cap=4),
+            imbalance=ImbalanceSpec(imbalance=0.3, seed=7),
+            tracing=True,
+            trace_dir=str(tmp_path),
+            backend="supervised",
+        )
+        recorded = sum(r.trace_meta.events for r in out.multirank.per_rank)
         trace = open_merged_trace(tmp_path)
-        trace.validate()
+        assert trace.validate() == []
         trace.wait_states()
-        trace.critical_path()
+        assert trace.critical_path()
         classify_wait_states(trace)
         assert scan_run(tmp_path) == []
-        assert len(built) == 2 * sum(len(s) for s in streams.values())
+        assert recorded > 0
+        assert built == {TraceEvent: recorded, RankedTraceEvent: 0}
