@@ -44,9 +44,3 @@ class RunResult:
     def t_total(self) -> float:
         """Total runtime in virtual seconds (paper's Ttotal)."""
         return (self.t_init_cycles + self.t_app_cycles) / self.frequency
-
-    def overhead_against(self, vanilla: "RunResult") -> float:
-        """Relative Ttotal overhead vs an uninstrumented run."""
-        if vanilla.t_total <= 0:
-            return 0.0
-        return self.t_total / vanilla.t_total - 1.0

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from repro._util import pinned_mean
+from repro.errors import CapiError
 from repro.execution.clock import CYCLES_PER_SECOND
 from repro.simmpi.world import finalize_wait
 from repro.talp.pop import PopMetrics, compute_pop_from_ranks
@@ -47,7 +48,7 @@ class RankStat:
     def of(cls, values: "np.ndarray | list[float]") -> "RankStat":
         arr = np.asarray(values, dtype=float)
         if arr.size == 0:
-            raise ValueError("need at least one rank")
+            raise CapiError("need at least one rank")
         return cls(
             sum=float(arr.sum()),
             min=float(arr.min()),
@@ -106,7 +107,7 @@ def merge_profiles(per_rank_profiles: list[dict | None]) -> MergedProfileNode | 
     if not profiles:
         return None
     if len(profiles) != len(per_rank_profiles):
-        raise ValueError("either every rank or no rank produces a profile")
+        raise CapiError("either every rank or no rank produces a profile")
     ranks = len(profiles)
     zeros = np.zeros(ranks)
     root = MergedProfileNode(
@@ -272,7 +273,7 @@ def build_pop_report(
     never masquerade as a full one.
     """
     if not per_rank:
-        raise ValueError("need at least one rank result")
+        raise CapiError("need at least one rank result")
     totals = np.array([r.result.t_app_cycles for r in per_rank])
     useful = np.array([r.result.useful_cycles for r in per_rank])
     mpi = np.array([float(r.result.mpi_cycles) for r in per_rank])

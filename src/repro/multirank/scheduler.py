@@ -39,7 +39,11 @@ from repro.multirank.reduce import (
     build_pop_report,
     merge_profiles,
 )
-from repro.multirank.tracing import MergedTrace, merge_rank_traces
+from repro.multirank.tracing import (
+    MergedTrace,
+    merge_rank_blocks,
+    merge_rank_traces,
+)
 from repro.scorep.tracing import TraceEvent
 from repro.workflow import RunSettings
 
@@ -324,8 +328,11 @@ def run_multirank(
     )
     merged_trace = None
     if tracing and trace_dir is not None:
-        from repro.trace.store import write_definitions, write_health_record
-        from repro.trace.streaming import open_merged_trace
+        from repro.trace.store import (
+            iter_location_blocks,
+            write_definitions,
+            write_health_record,
+        )
 
         metaless = [r.rank for r in per_rank if r.trace_meta is None]
         if metaless:
@@ -346,9 +353,14 @@ def run_multirank(
             },
         )
         write_health_record(trace_dir, health)
-        merged_trace = open_merged_trace(
-            trace_dir, rank_ids=[r.rank for r in per_rank]
-        ).materialize()
+        # each published location read once, scanned and aligned in memory
+        merged_trace = merge_rank_blocks(
+            [
+                list(iter_location_blocks(r.trace_meta.path, strict=True))
+                for r in per_rank
+            ],
+            rank_ids=[r.rank for r in per_rank],
+        )
     elif tracing:
         traceless = [r.rank for r in per_rank if r.trace is None]
         if traceless:

@@ -236,11 +236,7 @@ class MergedTimeline:
         and the offending ``rank`` filled in; ``str(issue)`` keeps the
         legacy message text.
         """
-        return [
-            replace(issue, rank=rank, detail=f"rank {rank}: {issue.detail}")
-            for rank, walk in zip(self.rank_labels, self.walks)
-            for issue in walk.issues
-        ]
+        return rank_issues(self.rank_labels, self.walks)
 
     # -- analyses --------------------------------------------------------------
 
@@ -413,6 +409,29 @@ def scan_blocks(blocks: Iterable[EventBlock]) -> StreamScan:
         last_t = float(block.t[-1])
         max_t = max(max_t, float(block.t.max()))
     return StreamScan(sync_seq, count, last_t, max_t)
+
+
+def walk_scan(walk: StreamWalk) -> StreamScan:
+    """The alignment scan a raw stream's walk already holds: its sync
+    markers, event count and last and largest timestamps."""
+    return StreamScan(
+        [(op, t) for op, t, _, _ in walk.markers if op in SYNC_OPS],
+        walk.count,
+        walk.last_t,
+        walk.max_t,
+    )
+
+
+def rank_issues(
+    rank_ids: Sequence[int], walks: Sequence[StreamWalk]
+) -> list[TraceIssue]:
+    """The walks' defect records in rank order, each stamped with its
+    rank."""
+    return [
+        replace(issue, rank=rank, detail=f"rank {rank}: {issue.detail}")
+        for rank, walk in zip(rank_ids, walks)
+        for issue in walk.issues
+    ]
 
 
 def _alignment_anchors(
@@ -615,8 +634,8 @@ def merge_rank_traces(
     """Merge N per-rank event streams into one aligned, rank-tagged timeline.
 
     Implements the logical-clock rule described in the module docstring
-    via :func:`align_scans` + :func:`align_blocks`, passing each stream
-    as one :class:`~repro.scorep.tracing.EventBlock`.
+    via :func:`merge_rank_blocks`, passing each stream as one
+    :class:`~repro.scorep.tracing.EventBlock`.
 
     ``rank_ids`` names the true rank of each input stream (ascending) —
     a degraded run merges only the surviving ranks, and their timeline
@@ -627,12 +646,31 @@ def merge_rank_traces(
     produced the same per-rank streams (the merge never looks at
     anything but the streams themselves).
     """
-    ids = resolve_rank_ids(len(per_rank_events), rank_ids)
-    blocks = [[EventBlock.from_events(s)] for s in per_rank_events]
-    alignment, schedule = align_scans(ids, [scan_blocks(b) for b in blocks])
+    return merge_rank_blocks(
+        [[EventBlock.from_events(s)] for s in per_rank_events], rank_ids=rank_ids
+    )
+
+
+def merge_rank_blocks(
+    per_rank_blocks: Sequence[Sequence[EventBlock]],
+    *,
+    rank_ids: "Sequence[int] | None" = None,
+) -> MergedTrace:
+    """The in-memory merge of N ranks' raw event blocks: one
+    :func:`scan_blocks` pass per rank, :func:`align_scans`, then each
+    rank's blocks aligned (:func:`align_blocks`) and kept.
+
+    Serves :func:`merge_rank_traces` (one block per rank) and the
+    in-world merge of an on-disk archive (each location's blocks, read
+    once).
+    """
+    ids = resolve_rank_ids(len(per_rank_blocks), rank_ids)
+    alignment, schedule = align_scans(ids, [scan_blocks(b) for b in per_rank_blocks])
     return MergedTrace(
         **alignment,
-        blocks=[list(align_blocks(b, plan)) for b, plan in zip(blocks, schedule)],
+        blocks=[
+            list(align_blocks(b, plan)) for b, plan in zip(per_rank_blocks, schedule)
+        ],
     )
 
 

@@ -239,7 +239,7 @@ class TraceIssue:
         return self.detail
 
 
-def leave_region(stack: list[str], region: str) -> int | None:
+def leave_region(stack: list, region) -> int | None:
     """Close ``region`` on an open-region stack, popping through (like
     stack unwinding) any inner regions still open above it.  Returns how
     many were implicitly closed, or ``None`` if ``region`` was not open."""
@@ -266,6 +266,13 @@ class StreamWalk(NamedTuple):
     markers: list[tuple[str, float, "int | None", "str | None"]]
     #: events walked
     count: int
+    #: last timestamp (0.0 when empty)
+    last_t: float
+    #: largest timestamp (-inf when empty)
+    max_t: float
+
+
+_ENTER, _LEAVE, _MPI = (KIND_CODE[kind] for kind in EVENT_KINDS)
 
 
 def walk_stream(
@@ -293,68 +300,243 @@ def walk_stream(
 
     *Markers:* each MPI event with its enclosing region, for the
     analyses that match operations across ranks.
+
+    A *clean* block — timestamps that never fall, and every LEAVE
+    closing the region on top of the stack — is walked whole with NumPy
+    (:meth:`_Walk.columns`).  Any other block is walked event by event
+    (:meth:`_Walk.rows`), because a regression or a stray or resyncing
+    LEAVE acts on the stack as it stands.  Both carry the same state to
+    the next block, so any split of a stream into blocks walks the same.
     """
-    problems: list[TraceIssue] = []
-    exclusive: list[dict[str, float]] = [{} for _ in windows]
-    markers: list = []
-    stack: list[str] = []
-    last_t = -math.inf
-    w = 0
-    count = 0
+    walk = _Walk(windows)
     for block in blocks:
-        count += len(block.t)
-        for kind, region, t, mid in block.rows():
+        if len(block.t):
+            walk.block(block)
+    return walk.result()
+
+
+class _Walk:
+    """What :func:`walk_stream` carries from one block to the next.
+
+    Regions are interned by name, because a block's ids index only its
+    own ``names``; the stack holds interned ids.  Window time is kept as
+    ``(region * len(windows) + window, span)`` cells in event order and
+    summed once, at the end, in that order, so both paths add the same
+    spans the same way.
+    """
+
+    def __init__(self, windows: Sequence[tuple[float, float]]) -> None:
+        bounds = np.array(windows, dtype=np.float64).reshape(-1, 2)
+        self.begins, self.ends = bounds.T.copy()
+        self.windows = bounds.tolist()
+        # clipping an interval against every window at once equals the
+        # loop's forward-only scan when both window bounds ascend
+        self.ascending = bool(
+            (self.begins[1:] >= self.begins[:-1]).all()
+            and (self.ends[1:] >= self.ends[:-1]).all()
+        )
+        self.ids: dict[str, int] = {}
+        self.names: list[str] = []
+        self.stack: list[int] = []
+        self.last_t = -math.inf
+        self.max_t = -math.inf
+        #: windows before this one lie behind the stream for good
+        self.w = 0
+        self.count = 0
+        self.issues: list[TraceIssue] = []
+        self.markers: list = []
+        self.cells: list[np.ndarray] = []
+        self.spans: list[np.ndarray] = []
+
+    def block(self, block: EventBlock) -> None:
+        ids = self.ids
+        lut = [ids.setdefault(name, len(ids)) for name in block.names]
+        if len(ids) > len(self.names):
+            self.names = list(ids)
+        region = np.array(lut, dtype=np.int64)[block.region]
+        self.count += len(block.t)
+        self.max_t = max(self.max_t, float(block.t.max()))
+        if not self.columns(block, region):
+            self.rows(block, region)
+
+    def columns(self, block: EventBlock, region: np.ndarray) -> bool:
+        """Walk a clean block with NumPy; leave the state untouched and
+        return False if the block is not clean."""
+        t, kind = block.t, block.kind
+        if not (
+            self.ascending and t[0] >= self.last_t and (t[1:] >= t[:-1]).all()
+        ):
+            return False
+        enter = kind == _ENTER
+        leave = kind == _LEAVE
+        carried = len(self.stack)
+        depth = np.cumsum(enter.astype(np.int64) - leave) + carried
+        if depth.min() < 0:
+            return False
+        # the region open after each event is the last ENTER at its
+        # depth so far (a stable sort keeps each depth in event order) ...
+        n = len(t)
+        order = np.argsort(depth, kind="stable")
+        floor = depth[order] * (n + 1)
+        found = np.empty(n, dtype=np.int64)
+        found[order] = (
+            np.maximum.accumulate(floor + np.where(enter[order], order + 1, 0))
+            - floor
+        )
+        # ... or, without one, the stack carried in from the last block
+        below = np.array([-1, *self.stack], dtype=np.int64)
+        after = np.where(
+            found > 0, region[found - 1], below[np.minimum(depth, carried)]
+        )
+        before = np.concatenate((below[-1:], after[:-1]))
+        if (before[leave] != region[leave]).any():
+            return False
+
+        names = self.names
+        mpi = np.flatnonzero(kind == _MPI)
+        self.markers.extend(
+            zip(
+                [names[r] for r in region[mpi].tolist()],
+                t[mpi].tolist(),
+                [None if m < 0 else m for m in block.mid[mpi].tolist()],
+                [names[r] if r >= 0 else None for r in after[mpi].tolist()],
+            )
+        )
+        busy = np.flatnonzero(before >= 0)
+        if len(busy) and self.w < len(self.windows):
+            self.clip(
+                before[busy],
+                np.concatenate(([self.last_t], t[:-1]))[busy],
+                t[busy],
+            )
+        self.last_t = float(t[-1])
+        top = int(depth[-1])
+        latest = np.full(top + 1, -1, dtype=np.int64)
+        pushed = np.flatnonzero(enter & (depth <= top))
+        np.maximum.at(latest, depth[pushed], pushed)
+        self.stack = [
+            self.stack[level - 1] if at < 0 else int(region[at])
+            for level, at in enumerate(latest.tolist())
+            if level
+        ]
+        return True
+
+    def clip(self, top: np.ndarray, start: np.ndarray, stop: np.ndarray) -> None:
+        """Attribute the intervals ``[start, stop]`` of a clean block to
+        their open regions ``top``, clipped against every window they
+        overlap from the current one on."""
+        width = len(self.windows)
+        first = np.maximum(self.ends.searchsorted(start, "right"), self.w)
+        count = np.maximum(self.begins.searchsorted(stop, "left") - first, 0)
+        self.w = int(first[-1])
+        which = np.repeat(np.arange(len(top)), count)
+        window = (
+            first[which]
+            + np.arange(len(which))
+            - np.repeat(np.cumsum(count) - count, count)
+        )
+        lo = np.maximum(start[which], self.begins[window])
+        hi = np.minimum(stop[which], self.ends[window])
+        keep = hi > lo
+        self.cells.append((top[which] * width + window)[keep])
+        self.spans.append((hi - lo)[keep])
+
+    def rows(self, block: EventBlock, region: np.ndarray) -> None:
+        """Walk a block event by event."""
+        issues, markers, names, stack = (
+            self.issues, self.markers, self.names, self.stack,
+        )
+        windows = self.windows
+        width = len(windows)
+        last_t, w = self.last_t, self.w
+        cells: list[int] = []
+        spans: list[float] = []
+        for kind, r, t, mid in zip(
+            block.kind.tolist(), region.tolist(), block.t.tolist(),
+            block.mid.tolist(),
+        ):
             if t < last_t:
-                problems.append(
+                issues.append(
                     TraceIssue(
-                        "timestamp-regression", region,
-                        f"timestamp regression at {region}",
+                        "timestamp-regression", names[r],
+                        f"timestamp regression at {names[r]}",
                     )
                 )
-            if stack and w < len(windows):
+            if stack and w < width:
                 top = stack[-1]
                 # attribute [last_t, t] across every window it overlaps;
                 # windows fully behind the interval are skipped for good
-                while w < len(windows) and windows[w][1] <= last_t:
+                while w < width and windows[w][1] <= last_t:
                     w += 1
                 i = w
-                while i < len(windows) and windows[i][0] < t:
+                while i < width and windows[i][0] < t:
                     lo = max(last_t, windows[i][0])
                     hi = min(t, windows[i][1])
                     if hi > lo:
-                        acc = exclusive[i]
-                        acc[top] = acc.get(top, 0.0) + (hi - lo)
+                        cells.append(top * width + i)
+                        spans.append(hi - lo)
                     i += 1
             last_t = t
-            if kind is TraceEventKind.ENTER:
-                stack.append(region)
-            elif kind is TraceEventKind.LEAVE:
-                skipped = leave_region(stack, region)
+            if kind == _ENTER:
+                stack.append(r)
+            elif kind == _LEAVE:
+                skipped = leave_region(stack, r)
                 if skipped is None:
-                    problems.append(
+                    issues.append(
                         TraceIssue(
-                            "unbalanced-leave", region,
-                            f"unbalanced LEAVE {region}",
+                            "unbalanced-leave", names[r],
+                            f"unbalanced LEAVE {names[r]}",
                         )
                     )
                 elif skipped:
-                    problems.append(
+                    issues.append(
                         TraceIssue(
-                            "unbalanced-leave-resync", region,
-                            f"unbalanced LEAVE {region} "
+                            "unbalanced-leave-resync", names[r],
+                            f"unbalanced LEAVE {names[r]} "
                             f"(implicitly closed {skipped} inner region(s))",
                         )
                     )
             else:
-                markers.append((region, t, mid, stack[-1] if stack else None))
-    problems.extend(
-        TraceIssue("unclosed-region", r, f"unclosed region {r}") for r in stack
-    )
-    tops = [
-        max(acc.items(), key=lambda kv: (kv[1], kv[0]))[0] if acc else None
-        for acc in exclusive
-    ]
-    return StreamWalk(problems, tops, markers, count)
+                markers.append(
+                    (names[r], t, None if mid < 0 else mid,
+                     names[stack[-1]] if stack else None)
+                )
+        self.last_t, self.w = last_t, w
+        self.cells.append(np.array(cells, dtype=np.int64))
+        self.spans.append(np.array(spans, dtype=np.float64))
+
+    def result(self) -> StreamWalk:
+        names = self.names
+        self.issues.extend(
+            TraceIssue("unclosed-region", names[r], f"unclosed region {names[r]}")
+            for r in self.stack
+        )
+        width = len(self.windows)
+        tops: list["str | None"] = [None] * width
+        cells = np.concatenate(self.cells) if self.cells else np.empty(0, np.int64)
+        if len(cells):
+            keys, slot = np.unique(cells, return_inverse=True)
+            time = np.zeros(len(keys))
+            np.add.at(time, slot, np.concatenate(self.spans))
+            region, window = np.divmod(keys, width)
+            alphabetical = sorted(range(len(names)), key=names.__getitem__)
+            by_name = np.empty(len(names), dtype=np.int64)
+            by_name[alphabetical] = np.arange(len(names))
+            # per window, the largest time wins and a tie goes to the
+            # largest name: the last of each window's run in this order
+            order = np.lexsort((by_name[region], time, window))
+            ranked = window[order]
+            last = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+            for w, r in zip(ranked[last].tolist(), region[order[last]].tolist()):
+                tops[w] = names[r]
+        return StreamWalk(
+            self.issues,
+            tops,
+            self.markers,
+            self.count,
+            self.last_t if self.count else 0.0,
+            self.max_t,
+        )
 
 
 def validate_trace(events: Iterable[TraceEvent]) -> list[TraceIssue]:

@@ -353,15 +353,6 @@ def load_location(
     ]
 
 
-def count_location_events(path: str | Path, *, strict: bool = False) -> int:
-    """Event count of a location file: the sum of its block lengths.
-
-    Lenient by default (the intact prefix); ``strict=True`` raises on
-    any damage, which is how the watchdog finds a torn file.
-    """
-    return sum(len(block.t) for block in iter_location_blocks(path, strict=strict))
-
-
 # -- global definitions ----------------------------------------------------------
 
 

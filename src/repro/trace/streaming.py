@@ -26,13 +26,12 @@ full materialisation and no event objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from repro.multirank.tracing import (
     MergedTimeline,
-    MergedTrace,
     align_blocks,
     align_scans,
     resolve_rank_ids,
@@ -92,14 +91,6 @@ class StreamingTrace(MergedTimeline):
                 ranked_events(rank, self.rank_blocks(pos))
                 for pos, rank in enumerate(self.rank_ids)
             ]
-        )
-
-    def materialize(self) -> MergedTrace:
-        """The in-memory equivalent: this trace's alignment, with every
-        rank's aligned blocks read once and kept."""
-        return MergedTrace(
-            **{f.name: getattr(self, f.name) for f in fields(MergedTimeline)},
-            blocks=[list(self.rank_blocks(pos)) for pos in range(self.ranks)],
         )
 
 

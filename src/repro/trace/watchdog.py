@@ -5,23 +5,31 @@ the email theatrics): tail a directory tree of trace archives, apply
 integrity + supervision + wait-state-regression rules, and emit one
 structured JSONL :class:`~repro.trace.alerts.Alert` per finding.
 
-Rules per run directory:
+Rules per run directory.  Each location file is read once, by one
+strict, windowless :func:`~repro.scorep.tracing.walk_stream` pass, and
+every trace rule below derives from those walks:
 
 * ``trace-missing-definitions`` — location files exist but the global
   definitions were never published (the run died before close).
 * ``trace-truncated`` — a location file fails the strict read (missing
   or count-mismatched footer, truncated block, bad record or tag).
-* ``trace-event-count`` — a location's event count disagrees with the
-  definitions table.
+* ``trace-event-count`` — a location's event count (the walk's
+  ``count``) disagrees with the definitions table.
 * ``trace-orphan-location`` — a location file the definitions don't
   list (a zombie attempt published after the archive closed).
-* ``trace-<issue-code>`` — any streaming-validate defect in the merged
-  timeline (``trace-timestamp-regression``, ``trace-unclosed-region``,
-  ...).
+* ``trace-unmergeable`` — the intact locations cannot be aligned (only
+  some of them synchronise).
+* ``trace-<issue-code>`` — any defect a walk found
+  (``trace-timestamp-regression``, ``trace-unclosed-region``, ...),
+  stamped with its rank as
+  :meth:`~repro.multirank.tracing.MergedTimeline.validate` stamps it:
+  alignment neither creates nor hides a defect, so the raw stream's
+  walk finds what the merged timeline's would.
 * ``retried`` / ``lost`` / ``degraded`` — straight from ``health.json``
   via :func:`~repro.trace.alerts.health_alerts`.
 * ``wait-regression`` — the archive's collective-wait fraction
-  (sum of rank offsets over ranks × elapsed) exceeds its budget: the
+  (sum of rank offsets over ranks × elapsed, aligned from the walks'
+  sync markers and last and largest timestamps) exceeds its budget: the
   ``trace_pipeline.healthy_wait_fraction`` baseline in
   ``BENCH_selection.json`` scaled by ``--wait-slack``, or an absolute
   default when no usable baseline is available (a missing or unreadable
@@ -40,18 +48,19 @@ from pathlib import Path
 from typing import TextIO
 
 from repro.errors import CapiError
+from repro.multirank.tracing import align_scans, rank_issues, walk_scan
+from repro.scorep.tracing import StreamWalk, walk_stream
 from repro.trace.alerts import Alert, AlertLog, health_alerts
 from repro.trace.store import (
     DEFINITIONS_NAME,
     TraceStoreError,
-    count_location_events,
     discover_ranks,
+    iter_location_blocks,
     location_path,
     read_definitions,
     read_health_record,
     read_json_object,
 )
-from repro.trace.streaming import open_merged_trace
 
 #: wait fraction allowed when no bench baseline exists: below 0.9 even
 #: a heavily imbalanced run passes, while a hang-shaped trace (one rank
@@ -114,15 +123,18 @@ def scan_run(run_dir: str | Path, *, config: WatchConfig | None = None) -> list[
         )
         defs = None
 
-    # integrity per location: strict read + event-count cross-check
+    # integrity per location: one strict, windowless walk, whose count
+    # is cross-checked against the definitions
     broken: set[int] = set()
+    walks: dict[int, StreamWalk] = {}
     expected = dict(
         zip(defs.locations, defs.events_per_location)
     ) if defs else {}
     for rank in present:
-        path = location_path(run_dir, rank)
         try:
-            count = count_location_events(path, strict=True)
+            walk = walk_stream(
+                iter_location_blocks(location_path(run_dir, rank), strict=True)
+            )
         except TraceStoreError as exc:
             alerts.append(
                 Alert(
@@ -135,6 +147,8 @@ def scan_run(run_dir: str | Path, *, config: WatchConfig | None = None) -> list[
             )
             broken.add(rank)
             continue
+        walks[rank] = walk
+        count = walk.count
         if defs is not None and rank not in expected:
             alerts.append(
                 Alert(
@@ -175,11 +189,16 @@ def scan_run(run_dir: str | Path, *, config: WatchConfig | None = None) -> list[
                 )
                 broken.add(rank)
 
-    # merged-timeline consistency + wait regression over intact ranks
+    # merged-timeline consistency + wait regression over intact ranks,
+    # from the same walks: alignment neither creates nor hides a defect,
+    # and the walks' sync markers and timestamps are what it aligns by
     intact = [r for r in present if r not in broken]
     if intact:
+        intact_walks = [walks[r] for r in intact]
         try:
-            trace = open_merged_trace(run_dir, rank_ids=intact)
+            alignment, _ = align_scans(
+                tuple(intact), [walk_scan(walk) for walk in intact_walks]
+            )
         except CapiError as exc:
             alerts.append(
                 Alert(
@@ -190,7 +209,7 @@ def scan_run(run_dir: str | Path, *, config: WatchConfig | None = None) -> list[
                 )
             )
         else:
-            for issue in trace.validate():
+            for issue in rank_issues(intact, intact_walks):
                 alerts.append(
                     Alert(
                         code=f"trace-{issue.code}",
@@ -202,7 +221,7 @@ def scan_run(run_dir: str | Path, *, config: WatchConfig | None = None) -> list[
                     )
                 )
             alerts.extend(
-                _wait_regression_alerts(trace, config, source)
+                _wait_regression_alerts(alignment, config, source)
             )
 
     # supervision records ride along with the archive
@@ -228,12 +247,14 @@ def _with_source(alert: Alert, source: str) -> Alert:
 
 
 def _wait_regression_alerts(
-    trace, config: WatchConfig, source: str
+    alignment: dict, config: WatchConfig, source: str
 ) -> list[Alert]:
-    elapsed = trace.elapsed_cycles
-    if elapsed <= 0.0 or trace.ranks == 0:
+    """``alignment``: the timeline fields :func:`align_scans` returns."""
+    ranks = alignment["ranks"]
+    elapsed = max(alignment["last_aligned"], default=0.0)
+    if elapsed <= 0.0 or ranks == 0:
         return []
-    fraction = sum(trace.rank_offsets) / (trace.ranks * elapsed)
+    fraction = sum(alignment["rank_offsets"]) / (ranks * elapsed)
     baseline = _load_baseline_wait_fraction(config)
     if baseline is not None:
         limit = baseline * config.wait_slack

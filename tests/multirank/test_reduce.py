@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.errors import CapiError
 from repro.multirank.reduce import (
     RankStat,
+    build_pop_report,
     flatten_merged,
     merge_profiles,
 )
@@ -38,7 +40,7 @@ class TestMergeProfiles:
     def test_empty_and_mixed(self):
         assert merge_profiles([]) is None
         assert merge_profiles([None, None]) is None
-        with pytest.raises(ValueError):
+        with pytest.raises(CapiError):
             merge_profiles([_profile(), None])
 
     def test_stats_per_call_path(self):
@@ -135,8 +137,12 @@ class TestFlattenPerRankFirst:
 
 class TestRankStatGuard:
     def test_empty_input_raises_clear_error(self):
-        with pytest.raises(ValueError, match="need at least one rank"):
+        with pytest.raises(CapiError, match="need at least one rank"):
             RankStat.of([])
+
+    def test_pop_report_without_ranks_is_typed(self):
+        with pytest.raises(CapiError, match="need at least one rank result"):
+            build_pop_report([])
 
 
 class TestElapsedBottleneckAgreement:

@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.multirank import merge_rank_traces
+from repro.multirank.tracing import merge_rank_blocks
 from repro.trace import (
     TraceStoreError,
     classify_wait_states,
     load_location,
     open_merged_trace,
 )
+from repro.trace.store import iter_location_blocks, location_path
 from tests.trace.conftest import E, L, M, ev, write_archive
 
 
@@ -128,11 +130,18 @@ class TestBitIdentity:
         assert list(streamed.events()) == list(streamed.events())
 
     def test_materialize_matches(self, tmp_path):
+        """The in-world merge: each location's blocks, read once and
+        merged in memory, equal the merge of the recorded events."""
         streams = ring_streams()
-        write_archive(tmp_path, streams)
-        streamed = open_merged_trace(tmp_path)
+        write_archive(tmp_path, streams, buffer_events=3)
+        read = merge_rank_blocks(
+            [
+                list(iter_location_blocks(location_path(tmp_path, r)))
+                for r in sorted(streams)
+            ]
+        )
         merged = merge_rank_traces([streams[r] for r in sorted(streams)])
-        assert streamed.materialize().events == merged.events
+        assert read.events == merged.events
 
 
 #: (kind, region) draws: nesting, p2p markers and synchronising collectives

@@ -6,28 +6,49 @@ classification all read its result, once per rank.  The four walks it
 replaced are copied in below as references — the single-stream
 validator, the per-segment top-region walk, the wait-state walk, and
 the merged-order check — together with the analyses that read them.
+
+The walk takes a clean block whole, as columns, and any other block
+event by event, so any split of a stream into blocks must walk the
+same (``TestAnySplit``).  ``TestReadsPerPostMortem`` counts how often a
+traced world and its post-mortem read each location file.
 """
 
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ic import InstrumentationConfig
 from repro.execution.workload import Workload
 from repro.multirank import ImbalanceSpec, merge_rank_traces
-from repro.multirank.tracing import CriticalSegment, segment_windows
+from repro.multirank.tracing import (
+    CriticalSegment,
+    scan_blocks,
+    segment_windows,
+    walk_scan,
+)
+from repro.scorep import tracing
 from repro.scorep.tracing import (
+    EventBlock,
     RankedTraceEvent,
     TraceEvent,
     TraceEventKind,
     TraceIssue,
     leave_region,
+    walk_stream,
 )
 from repro.simmpi.messages import RECV_OPS, SEND_OPS, ring_partner
-from repro.trace import classify_wait_states, open_merged_trace, scan_run, streaming
+from repro.trace import (
+    classify_wait_states,
+    open_merged_trace,
+    scan_run,
+    store,
+    streaming,
+    watchdog,
+)
 from repro.trace.store import location_path
 from repro.trace.waitstates import (
     COLLECTIVE_IMBALANCE,
@@ -37,7 +58,7 @@ from repro.trace.waitstates import (
 )
 from repro.workflow import build_app, run_app
 from tests.conftest import make_demo_builder
-from tests.trace.conftest import E, L, ev, write_archive
+from tests.trace.conftest import E, L, M, ev, write_archive
 from tests.trace.test_streaming import regressing_stream, ring_streams
 
 # -- references: the separate walks ---------------------------------------------
@@ -154,6 +175,20 @@ def ref_walk_rank(rank, events):
             else:
                 sync_regions[(rank, ev.timestamp_cycles, ev.region)] = region
     return sends, recvs, sync_regions
+
+
+def ref_markers(events):
+    markers, stack = [], []
+    for ev in events:
+        if ev.kind is TraceEventKind.ENTER:
+            stack.append(ev.region)
+        elif ev.kind is TraceEventKind.LEAVE:
+            leave_region(stack, ev.region)
+        else:
+            markers.append(
+                (ev.region, ev.timestamp_cycles, ev.mid, stack[-1] if stack else None)
+            )
+    return markers
 
 
 # -- references: the analyses over those walks ------------------------------------
@@ -310,7 +345,243 @@ class TestOneWalk:
                 assert keys == sorted(keys)
 
 
+# -- any split into blocks walks the same ------------------------------------------
+
+REGIONS = ("main", "solve", "kernel")
+
+
+@st.composite
+def defective_stream(draw):
+    """A well-nested stream with ascending timestamps, and stray LEAVEs,
+    LEAVEs of any region (out of order, unless it is on top) and
+    timestamp regressions spliced in.  Returns the events and the
+    positions of the spliced ones.  The steps are exact binary
+    fractions, so regions often tie for a window's top."""
+    events, stack, t = [], [], 0.0
+    for _ in range(draw(st.integers(0, 30))):
+        t += draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+        shape = draw(st.sampled_from(["enter", "leave", "collective", "p2p"]))
+        if shape == "enter" or (shape == "leave" and not stack):
+            stack.append(draw(st.sampled_from(REGIONS)))
+            events.append(ev(E, stack[-1], t))
+        elif shape == "leave":
+            events.append(ev(L, stack.pop(), t))
+        elif shape == "collective":
+            op = draw(st.sampled_from(["MPI_Allreduce", "MPI_Barrier"]))
+            events.append(ev(M, op, t))
+        else:
+            op = draw(st.sampled_from(["MPI_Isend", "MPI_Irecv"]))
+            events.append(ev(M, op, t, mid=draw(st.integers(0, 2))))
+    events.append(ev(M, "MPI_Finalize", t + 1.0))
+    spliced = []
+    for defect in draw(
+        st.lists(st.sampled_from(["stray", "any-leave", "regression"]), max_size=3)
+    ):
+        at = draw(st.integers(0, len(events) - 1))
+        t = events[at].timestamp_cycles
+        if defect == "stray":
+            event = ev(L, "ghost", t)
+        elif defect == "any-leave":
+            event = ev(L, draw(st.sampled_from(REGIONS)), t)
+        else:
+            event = ev(M, "MPI_Barrier", t - draw(st.sampled_from([0.5, 4.0])))
+        events.insert(at + 1, event)
+        spliced.append(event)
+    return events, [i for i, e in enumerate(events) if any(e is d for d in spliced)]
+
+
+@st.composite
+def split_into_blocks(draw, events, defects):
+    """``events`` cut into blocks at random points, or into one-event
+    blocks, with cuts next to the defects; every block with region ids of
+    its own (as the in-memory merge builds them), or all sharing one
+    name table (as an archive's blocks do); sometimes an empty block."""
+    n = len(events)
+    if draw(st.integers(0, 3)) == 0:
+        cuts = set(range(n))
+    else:
+        cuts = set(draw(st.lists(st.integers(0, n), max_size=6)))
+        for at in defects:
+            cuts.update(draw(st.sampled_from([(), (at,), (at + 1,), (at, at + 1)])))
+    bounds = sorted(cuts | {0, n})
+    spans = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+    if draw(st.booleans()):
+        blocks = [EventBlock.from_events(events[a:b]) for a, b in spans]
+    else:
+        whole = EventBlock.from_events(events)
+        blocks = [
+            EventBlock(
+                whole.kind[a:b], whole.region[a:b], whole.t[a:b], whole.mid[a:b],
+                whole.names,
+            )
+            for a, b in spans
+        ]
+    if draw(st.booleans()):
+        blocks.insert(draw(st.integers(0, len(blocks))), EventBlock.from_events([]))
+    return blocks
+
+
+@st.composite
+def disjoint_windows(draw):
+    """Disjoint, ascending ``(begin, end)`` windows; adjacent ones may
+    touch, as a rank's segment windows do."""
+    bounds = sorted(draw(st.lists(st.integers(-12, 180), unique=True, max_size=12)))
+    values = [b / 2 for b in bounds]
+    if draw(st.booleans()):
+        return list(zip(values, values[1:]))
+    return list(zip(values[::2], values[1::2]))
+
+
+def loop_blocks(monkeypatch):
+    """First timestamp of every block walked event by event."""
+    taken = []
+    rows = tracing._Walk.rows
+
+    def spy(self, block, region):
+        taken.append(float(block.t[0]))
+        return rows(self, block, region)
+
+    monkeypatch.setattr(tracing._Walk, "rows", spy)
+    return taken
+
+
+class TestAnySplit:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), windows=disjoint_windows())
+    def test_any_block_split_walks_the_same(self, data, windows):
+        """Clean blocks walk as columns, the others event by event; the
+        walk equals the per-event references field by field whatever
+        the cuts."""
+        events, defects = data.draw(
+            st.one_of(
+                defective_stream(),
+                regressing_stream().map(lambda events: (events, [])),
+            )
+        )
+        blocks = data.draw(split_into_blocks(events, defects))
+        walk = walk_stream(blocks, windows)
+        assert walk.issues == ref_validate_trace(events)
+        assert walk.tops == ref_top_regions_by_segment(events, windows)
+        assert walk.markers == ref_markers(events)
+        assert walk.count == len(events)
+        assert walk_scan(walk) == scan_blocks(blocks)
+
+    def test_clean_and_per_event_blocks_alternate(self, monkeypatch):
+        """A clean block after a block walked event by event, and the
+        reverse: the stack, the clock and the window position carry
+        over."""
+        events = [
+            ev(E, "main", 0.0), ev(E, "solve", 1.0), ev(M, "MPI_Allreduce", 2.0),
+            # a LEAVE of an inner region closes kernel implicitly
+            ev(E, "kernel", 3.0), ev(L, "solve", 4.0), ev(E, "io", 5.0),
+            ev(M, "MPI_Barrier", 6.0), ev(L, "io", 7.0), ev(E, "solve", 8.0),
+            # a timestamp regression
+            ev(M, "MPI_Barrier", 7.5), ev(L, "solve", 8.5),
+            ev(E, "kernel", 9.0), ev(L, "kernel", 10.0), ev(L, "main", 11.0),
+            ev(M, "MPI_Finalize", 12.0),
+        ]
+        cuts = [0, 3, 6, 9, 11, len(events)]
+        blocks = [EventBlock.from_events(events[a:b]) for a, b in zip(cuts, cuts[1:])]
+        windows = [(0.5, 2.5), (2.5, 6.5), (7.0, 11.0)]
+        taken = loop_blocks(monkeypatch)
+        walk = walk_stream(blocks, windows)
+        assert taken == [3.0, 7.5]
+        assert [i.code for i in walk.issues] == [
+            "unbalanced-leave-resync", "timestamp-regression",
+        ]
+        assert walk.issues == ref_validate_trace(events)
+        assert walk.tops == ref_top_regions_by_segment(events, windows)
+        assert walk.markers == ref_markers(events)
+
+    def test_window_position_carries_into_the_loop(self, monkeypatch):
+        """Windows a clean block has passed stay passed when a later
+        block regresses into them."""
+        events = [
+            # the interval from 4.5 starts where the second window ends
+            ev(E, "main", 3.0), ev(M, "MPI_Barrier", 4.5), ev(L, "main", 5.0),
+            # back to 0.0: the loop must not reopen the first two windows
+            ev(E, "io", 0.0), ev(L, "io", 4.0),
+        ]
+        blocks = [EventBlock.from_events(events[:3]), EventBlock.from_events(events[3:])]
+        windows = [(0.0, 2.0), (2.0, 4.5), (5.0, 9.0)]
+        taken = loop_blocks(monkeypatch)
+        walk = walk_stream(blocks, windows)
+        assert taken == [0.0]
+        assert walk.tops == ref_top_regions_by_segment(events, windows)
+        assert walk.tops == [None, "main", None]
+
+    def test_clean_archive_takes_no_per_event_walk(self, tmp_path, monkeypatch):
+        """Every block of a clean archive is walked as columns: by the
+        post-mortem's windowed walks and by the watchdog's."""
+        write_archive(tmp_path, ring_streams(), buffer_events=3)
+        taken = loop_blocks(monkeypatch)
+        trace = open_merged_trace(tmp_path)
+        assert trace.validate() == []
+        assert trace.critical_path()
+        assert scan_run(tmp_path) == []
+        assert taken == []
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Every ``iter_location_blocks`` open, by path, whichever module
+    calls it."""
+    paths = []
+    read = store.iter_location_blocks
+
+    def counting(path, **kwargs):
+        paths.append(Path(path))
+        return read(path, **kwargs)
+
+    for module in (store, streaming, watchdog):
+        monkeypatch.setattr(module, "iter_location_blocks", counting, raising=False)
+    return paths
+
+
+def traced_world(trace_dir):
+    """A traced 8-rank world on the supervised backend, archived in
+    ``trace_dir``."""
+    return run_app(
+        build_app(make_demo_builder().build()),
+        mode="ic",
+        tool="scorep",
+        ic=InstrumentationConfig(functions=frozenset({"kernel", "solve"})),
+        ranks=8,
+        workload=Workload(site_cap=4),
+        imbalance=ImbalanceSpec(imbalance=0.3, seed=7),
+        tracing=True,
+        trace_dir=str(trace_dir),
+        backend="supervised",
+    )
+
+
 class TestReadsPerPostMortem:
+    def test_scan_run_opens_each_location_once(self, tmp_path, opened):
+        """The watchdog's integrity, defect and wait rules all read one
+        strict walk per location."""
+        streams = ring_streams()
+        write_archive(tmp_path, streams, buffer_events=3)
+        assert scan_run(tmp_path) == []
+        assert sorted(opened) == [location_path(tmp_path, r) for r in sorted(streams)]
+
+    def test_traced_world_and_post_mortem_reads(self, tmp_path, opened):
+        """A traced 8-rank world reads each location twice: the rank
+        gate's walk and the in-world merge.  Its post-mortem (open,
+        validate, wait states, critical path, classification, watchdog)
+        reads each three times: the open's scan, the analyses' walk and
+        the watchdog's walk."""
+        traced_world(tmp_path)
+        locations = [location_path(tmp_path, r) for r in range(8)]
+        assert sorted(opened) == sorted(locations * 2)
+        opened.clear()
+        trace = open_merged_trace(tmp_path)
+        assert trace.validate() == []
+        trace.wait_states()
+        trace.critical_path()
+        classify_wait_states(trace)
+        assert scan_run(tmp_path) == []
+        assert sorted(opened) == sorted(locations * 3)
+
     def test_analyses_open_each_location_once(self, tmp_path, monkeypatch):
         """After the open's alignment scan, ``validate``, ``critical_path``
         and ``classify_wait_states`` together read each location file
