@@ -1011,7 +1011,7 @@ def measure_trace_pipeline(prepared, ranks: int = MULTIRANK_RANKS) -> dict:
     asserts the streamed-from-disk timeline is bit-identical to the
     in-memory merge and that the watchdog stays silent on the healthy
     archive, then measures (a) location-write throughput (events/s
-    through :class:`TraceWriter`) and (b) peak traced memory of
+    through :meth:`TraceWriter.flush`) and (b) peak traced memory of
     consuming the streaming merge vs. loading + merging in memory —
     the bounded-memory claim, asserted as a ratio ceiling.  The
     archive's collective-wait fraction is recorded as
@@ -1022,7 +1022,7 @@ def measure_trace_pipeline(prepared, ranks: int = MULTIRANK_RANKS) -> dict:
 
     from repro.multirank import ImbalanceSpec, merge_rank_traces
     from repro.trace import load_location, open_merged_trace, scan_run
-    from repro.trace.store import TraceWriter
+    from repro.trace.store import TraceWriter, iter_location_blocks, location_path
     from repro.workflow import run_app
 
     ic = prepared.select_all()["mpi"].ic
@@ -1057,20 +1057,24 @@ def measure_trace_pipeline(prepared, ranks: int = MULTIRANK_RANKS) -> dict:
             else 0.0
         )
 
-        # write throughput: stream rank 0's events through a fresh writer
-        events = load_location(td, 0)
+        # write throughput: location 0's blocks through a fresh writer,
+        # one flush per block, the path a rank's tracer takes
+        blocks = list(iter_location_blocks(location_path(td, 0)))
         with tempfile.TemporaryDirectory() as wtd:
             def rewrite():
                 writer = TraceWriter(wtd, 0)
-                writer.write_events(events)
+                for block in blocks:
+                    writer.flush(block)
                 writer.close()
 
             write_seconds = _best_of(rewrite)
-        write_throughput = len(events) / write_seconds
+            if location_path(wtd, 0).read_bytes() != location_path(td, 0).read_bytes():
+                raise AssertionError("rewritten location differs from the original")
+        write_throughput = sum(len(block.t) for block in blocks) / write_seconds
 
         # peak traced memory: load-everything-and-merge vs streaming
         rank_ids = streamed.rank_ids
-        del out, streamed, events
+        del out, streamed, blocks
         tracemalloc.start()
         streams = [load_location(td, rank) for rank in rank_ids]
         merged = merge_rank_traces(streams, rank_ids=rank_ids)

@@ -93,7 +93,7 @@ def scenario(name: str) -> ImbalanceSpec:
     try:
         return SCENARIOS[name]
     except KeyError:
-        raise ValueError(
+        raise CapiError(
             f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}"
         ) from None
 

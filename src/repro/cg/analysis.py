@@ -177,14 +177,7 @@ def _aggregate_arrays(
             )
             node_ids = np.flatnonzero(reached)
             return node_ids, best[node_ids]
-    comp_of, comp_members = _csr.scc_condense(
-        indptr,
-        indices,
-        snapshot.pred_indptr,
-        snapshot.pred_indices,
-        (root_id,),
-        snapshot.n,
-    )
+    comp_of, comp_members = _csr.tarjan_scc(indptr, indices, (root_id,), snapshot.n)
     ncomp = len(comp_members)
     if metric is None:
         statements = snapshot.meta_column("statements")

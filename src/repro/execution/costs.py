@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import CapiError
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -82,4 +84,4 @@ class CostModel:
             return self.talp_event + self.cyg_shim
         if tool == "none":
             return self.cyg_shim
-        raise ValueError(f"unknown tool {tool!r}")
+        raise CapiError(f"unknown tool {tool!r}")

@@ -12,6 +12,7 @@ from functools import lru_cache
 
 from repro.apps import PAPER_SPECS, build_lulesh, build_openfoam
 from repro.core.capi import Capi, CapiOutcome
+from repro.errors import CapiError
 from repro.execution.workload import Workload
 from repro.workflow import BuiltApp, RunOutcome, build_app, run_app
 
@@ -60,7 +61,7 @@ def prepare_app(name: str, target_nodes: int | None = None) -> PreparedApp:
             target_nodes=target_nodes or DEFAULT_SCALES["openfoam"]
         )
     else:
-        raise ValueError(f"unknown app {name!r}")
+        raise CapiError(f"unknown app {name!r}")
     app = build_app(program)
     vanilla = build_app(program, xray=False, graph=app.graph)
     return PreparedApp(name=name, app=app, vanilla=vanilla)

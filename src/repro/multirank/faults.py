@@ -228,6 +228,8 @@ def corrupt_result(task, result):
     """
     from dataclasses import replace
 
+    from repro.scorep.tracing import EventBlock
+
     plan: RankFaultPlan | None = task.fault
     if plan is None or plan.active_kind(task.attempt) != "corrupt":
         return result
@@ -236,7 +238,13 @@ def corrupt_result(task, result):
         profile["inclusive_cycles"] = float("nan")
         return replace(result, profile=profile)
     if plan.corrupt_target == "trace" and result.trace:
-        return replace(result, trace=result.trace[: len(result.trace) // 2])
+        keep = sum(len(block.t) for block in result.trace) // 2
+        head = []
+        for block in result.trace:
+            if keep > 0:
+                head.append(EventBlock(*(col[:keep] for col in block[:4]), block.names))
+            keep -= len(block.t)
+        return replace(result, trace=tuple(head))
     if plan.corrupt_target == "trace" and result.trace_meta is not None:
         from pathlib import Path
 
@@ -290,17 +298,16 @@ def check_rank_result(result, *, tracing: bool = False) -> None:
                     rank=result.rank,
                 )
     if tracing:
-        from repro.scorep.tracing import EventBlock, walk_stream
+        from repro.scorep.tracing import walk_stream
         from repro.trace.store import TraceStoreError, iter_location_blocks
 
         meta = getattr(result, "trace_meta", None)
+        blocks = result.trace or ()
         if result.trace is None and meta is not None:
             # on-disk trace: walk the published location file under the
             # strict (footer-checked) reader, so byte truncation — the
             # disk flavour of the corrupt fault — fails the gate
             blocks = iter_location_blocks(meta.path, strict=True)
-        else:
-            blocks = [EventBlock.from_events(result.trace or ())]
         try:
             walk = walk_stream(blocks)
         except TraceStoreError as exc:

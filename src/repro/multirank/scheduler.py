@@ -11,7 +11,7 @@ across a process pool.
 The scheduler collects one :class:`RankResult` per rank — the engine's
 :class:`~repro.execution.result.RunResult` plus the rank's Score-P
 profile (as a plain dict), TALP region samples and (``tracing=True``)
-the rank's event-trace stream, all picklable so the multiprocessing
+the rank's event-trace blocks, all picklable so the multiprocessing
 backend can ship them back — and hands the list to the cross-rank
 reducers for the merged profile, the POP report and the merged
 rank-tagged timeline (:mod:`repro.multirank.tracing`).
@@ -39,12 +39,8 @@ from repro.multirank.reduce import (
     build_pop_report,
     merge_profiles,
 )
-from repro.multirank.tracing import (
-    MergedTrace,
-    merge_rank_blocks,
-    merge_rank_traces,
-)
-from repro.scorep.tracing import TraceEvent
+from repro.multirank.tracing import MergedTrace, merge_rank_blocks
+from repro.scorep.tracing import EventBlock
 from repro.workflow import RunSettings
 
 
@@ -90,9 +86,9 @@ class RankResult:
     #: Score-P call-path profile in ``profile_io.to_dict`` form
     profile: dict | None = None
     talp_regions: tuple[RegionSample, ...] = ()
-    #: the rank's event-trace stream (``tracing=True`` + scorep tool);
+    #: the rank's event-trace blocks (``tracing=True`` + scorep tool);
     #: ``None`` when the trace went to disk instead (``trace_dir``)
-    trace: tuple[TraceEvent, ...] | None = None
+    trace: tuple[EventBlock, ...] | None = None
     #: on-disk location summary (LocationMeta) when ``trace_dir`` was set
     trace_meta: "object | None" = None
 
@@ -209,9 +205,9 @@ def execute_rank(built, task: RankTask) -> RankResult:
             )
             for region in outcome.monitor.regions.values()
         )
-    trace: tuple[TraceEvent, ...] | None = None
+    trace: tuple[EventBlock, ...] | None = None
     if outcome.tracer is not None and task.settings.trace_dir is None:
-        trace = tuple(outcome.tracer.all_events())
+        trace = tuple(outcome.tracer.blocks)
     return corrupt_result(
         task,
         RankResult(
@@ -353,27 +349,24 @@ def run_multirank(
             },
         )
         write_health_record(trace_dir, health)
-        # each published location read once, scanned and aligned in memory
-        merged_trace = merge_rank_blocks(
-            [
-                list(iter_location_blocks(r.trace_meta.path, strict=True))
-                for r in per_rank
-            ],
-            rank_ids=[r.rank for r in per_rank],
-        )
+        # each published location is read once for the merge
+        blocks = [
+            list(iter_location_blocks(r.trace_meta.path, strict=True))
+            for r in per_rank
+        ]
     elif tracing:
         traceless = [r.rank for r in per_rank if r.trace is None]
         if traceless:
             # unreachable today (validate_tracing guarantees a tracer on
-            # every rank) — but a silent merged_trace=None would be the
-            # exact degradation this PR exists to remove, so fail loudly
+            # every rank) — but a silent merged_trace=None would hide the
+            # missing trace, so fail loudly
             raise CapiError(
                 f"tracing=True but rank(s) {traceless} produced no trace"
             )
-        merged_trace = merge_rank_traces(
-            [r.trace for r in per_rank],
-            rank_ids=[r.rank for r in per_rank],
-        )
+        blocks = [r.trace for r in per_rank]
+    if tracing:
+        # both kinds of world scan, align and merge the ranks' raw blocks
+        merged_trace = merge_rank_blocks(blocks, rank_ids=[r.rank for r in per_rank])
     return MultiRankOutcome(
         ranks=ranks,
         spec=imbalance,

@@ -4,8 +4,9 @@ Score-P is "a widely used profiling **and tracing** infrastructure"
 (paper §I); downstream tools (Vampir, Scalasca) consume per-process
 OTF2 event streams as *one* experiment.  This module is the reduction
 that makes that view exist in the reproduction: it takes the N per-rank
-:class:`~repro.scorep.tracing.TraceEvent` streams collected by the rank
-scheduler and merges them into a single rank-tagged timeline.
+streams of :class:`~repro.scorep.tracing.EventBlock` columns collected
+by the rank scheduler and merges them into a single rank-tagged
+timeline.
 
 Each rank runs on its own virtual clock, so the raw per-rank timestamps
 are *local* times — directly interleaving them would put a fast rank's
@@ -39,7 +40,8 @@ Scalasca-style:
   the code to fix.
 
 Entry point: ``run_app(..., ranks=N, imbalance=..., tracing=True)`` →
-``RunOutcome.merged_trace``, or :func:`merge_rank_traces` directly.
+``RunOutcome.merged_trace``, or :func:`merge_rank_blocks` (blocks) and
+:func:`merge_rank_traces` (event lists) directly.
 """
 
 from __future__ import annotations
@@ -660,9 +662,9 @@ def merge_rank_blocks(
     :func:`scan_blocks` pass per rank, :func:`align_scans`, then each
     rank's blocks aligned (:func:`align_blocks`) and kept.
 
-    Serves :func:`merge_rank_traces` (one block per rank) and the
-    in-world merge of an on-disk archive (each location's blocks, read
-    once).
+    Serves both kinds of traced world — the blocks each rank shipped,
+    or each published location's blocks, read once — and
+    :func:`merge_rank_traces` (one block per rank).
     """
     ids = resolve_rank_ids(len(per_rank_blocks), rank_ids)
     alignment, schedule = align_scans(ids, [scan_blocks(b) for b in per_rank_blocks])

@@ -70,16 +70,18 @@ class RankedTraceEvent:
 #: store writes the same codes)
 EVENT_KINDS = (TraceEventKind.ENTER, TraceEventKind.LEAVE, TraceEventKind.MPI)
 KIND_CODE = {kind: code for code, kind in enumerate(EVENT_KINDS)}
+_ENTER, _LEAVE, _MPI = range(len(EVENT_KINDS))
 
 
 class EventBlock(NamedTuple):
     """A run of one location's events, column by column.
 
-    The one form a rank's stream takes once recorded: the on-disk store
-    reads a location back one block at a time in this form, the
-    in-memory merge passes each rank's event list as one block, and the
-    alignment, the walk and the rank gate read the columns, so only the
-    event views (:meth:`events`, :func:`ranked_events`) build objects.
+    The one form a rank's stream takes from the tracer onward: the
+    tracer records its rows in blocks, the writer encodes them, the
+    on-disk store reads a location back one block at a time in this
+    form, and the rank gate, the alignment and the walk read the
+    columns, so only the event views (:meth:`events`,
+    :func:`ranked_events`) build objects.
     """
 
     #: kind code per event (index into :data:`EVENT_KINDS`)
@@ -94,24 +96,33 @@ class EventBlock(NamedTuple):
     names: Sequence[str]
 
     @classmethod
-    def from_events(cls, events: Iterable[TraceEvent]) -> "EventBlock":
-        ids: dict[str, int] = {}
-        rows = [
-            (
-                KIND_CODE[ev.kind],
-                ids.setdefault(ev.region, len(ids)),
-                ev.timestamp_cycles,
-                -1 if ev.mid is None else ev.mid,
-            )
-            for ev in events
-        ]
+    def from_rows(
+        cls, rows: Sequence[tuple[int, int, float, int]], names: Iterable[str]
+    ) -> "EventBlock":
+        """A block of ``(kind code, region id, t, mid)`` rows."""
         kind, region, t, mid = zip(*rows) if rows else ((), (), (), ())
         return cls(
             np.array(kind, dtype=np.uint8),
             np.array(region, dtype=np.uint32),
             np.array(t, dtype=np.float64),
             np.array(mid, dtype=np.int64),
-            tuple(ids),
+            tuple(names),
+        )
+
+    @classmethod
+    def from_events(cls, events: Iterable[TraceEvent]) -> "EventBlock":
+        ids: dict[str, int] = {}
+        return cls.from_rows(
+            [
+                (
+                    KIND_CODE[ev.kind],
+                    ids.setdefault(ev.region, len(ids)),
+                    ev.timestamp_cycles,
+                    -1 if ev.mid is None else ev.mid,
+                )
+                for ev in events
+            ],
+            ids,
         )
 
     def rows(self) -> Iterator[tuple[TraceEventKind, str, float, "int | None"]]:
@@ -150,74 +161,86 @@ def merge_streams(
     return heapq.merge(*streams, key=lambda ev: (ev.timestamp_cycles, ev.rank))
 
 
+#: events per recorded block: the tracer hands its rows on as one
+#: :class:`EventBlock` each time this many are buffered
+BLOCK_EVENTS = 4096
+
+
 @dataclass
 class ScorePTracer:
     """Event-trace recorder, attachable next to the profile measurement.
 
-    When a ``writer`` is attached (see :class:`repro.trace.store.TraceWriter`)
-    full buffers spill to disk instead of accumulating in ``flushed``:
-    memory stays bounded at ``buffer_size`` events and the complete
-    stream only exists in the location file.  ``all_events()`` is then
-    unavailable — read the trace back via the store.
+    Each event is one ``(kind code, region id, t, mid)`` row in the
+    tracer's only buffer; region names are interned at first use.  Every
+    :data:`BLOCK_EVENTS` rows become one :class:`EventBlock`, handed to
+    the ``writer`` when one is attached (see
+    :meth:`repro.trace.store.TraceWriter.flush`), else kept in
+    ``blocks``.  With a writer the complete stream only exists in the
+    location file, so ``all_events()`` is unavailable: read the trace
+    back via the store.
     """
 
     clock: VirtualClock
-    events: list[TraceEvent] = field(default_factory=list)
-    #: flush threshold: a full buffer is flushed to `flushed` wholesale
-    buffer_size: int = 1 << 16
-    flushed: list[TraceEvent] = field(default_factory=list)
-    flush_count: int = 0
-    #: optional on-disk sink (duck-typed: write_events / close)
+    #: optional on-disk sink (duck-typed: flush(block) / close)
     writer: object | None = None
-    #: events spilled to the writer so far
-    spilled: int = 0
+    #: the recorded blocks, when no writer is attached
+    blocks: list[EventBlock] = field(default_factory=list)
+    #: the buffered rows, and the region id of each name recorded so far
+    _rows: list[tuple[int, int, float, int]] = field(
+        default_factory=list, init=False, repr=False
+    )
+    _ids: dict[str, int] = field(default_factory=dict, init=False, repr=False)
 
     # -- recording --------------------------------------------------------------
 
     def enter(self, region: str) -> None:
-        self._record(TraceEventKind.ENTER, region)
+        self._record(_ENTER, region)
 
     def leave(self, region: str) -> None:
-        self._record(TraceEventKind.LEAVE, region)
+        self._record(_LEAVE, region)
 
     def mpi(self, op: str, *, mid: int | None = None) -> None:
-        self._record(TraceEventKind.MPI, op, mid=mid)
+        self._record(_MPI, op, -1 if mid is None else mid)
 
-    def _record(
-        self, kind: TraceEventKind, region: str, mid: int | None = None
-    ) -> None:
-        self.clock.advance(TRACE_EVENT_EXTRA)
-        self.events.append(TraceEvent(kind, region, self.clock.now(), mid))
-        if len(self.events) >= self.buffer_size:
-            if self.writer is not None:
-                self.writer.write_events(self.events)
-                self.spilled += len(self.events)
-            else:
-                self.flushed.extend(self.events)
-            self.events.clear()
-            self.flush_count += 1
+    def _record(self, kind: int, region: str, mid: int = -1) -> None:
+        clock, ids, rows = self.clock, self._ids, self._rows
+        clock.advance(TRACE_EVENT_EXTRA)
+        rows.append((kind, ids.setdefault(region, len(ids)), clock.cycles, mid))
+        if len(rows) >= BLOCK_EVENTS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Hand the buffered rows on as one block."""
+        if not self._rows:
+            return
+        block = EventBlock.from_rows(self._rows, self._ids)
+        self._rows.clear()
+        if self.writer is not None:
+            self.writer.flush(block)
+        else:
+            self.blocks.append(block)
 
     # -- results ----------------------------------------------------------------
 
     def all_events(self) -> list[TraceEvent]:
+        """The recorded stream as event objects (an event view); the
+        tail rows are flushed first."""
         if self.writer is not None:
             raise CapiError(
                 "trace events were spilled to disk; read them back via "
                 "repro.trace.store instead of all_events()"
             )
-        return [*self.flushed, *self.events]
+        self.flush()
+        return [event for block in self.blocks for event in block.events()]
 
     def close_writer(self):
-        """Flush the tail buffer and close the attached on-disk writer.
+        """Flush the tail rows and close the attached on-disk writer.
 
         Returns the writer's :class:`~repro.trace.store.LocationMeta`.
         """
         if self.writer is None:
             raise CapiError("no trace writer attached")
-        if self.events:
-            self.writer.write_events(self.events)
-            self.spilled += len(self.events)
-            self.events.clear()
+        self.flush()
         return self.writer.close()
 
 
@@ -270,9 +293,6 @@ class StreamWalk(NamedTuple):
     last_t: float
     #: largest timestamp (-inf when empty)
     max_t: float
-
-
-_ENTER, _LEAVE, _MPI = (KIND_CODE[kind] for kind in EVENT_KINDS)
 
 
 def walk_stream(

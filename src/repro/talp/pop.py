@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util import pinned_mean
+from repro.errors import CapiError
 from repro.simmpi.world import MpiWorld
 from repro.talp.monitor import MonitoringRegion
 
@@ -85,7 +86,7 @@ def compute_pop_from_ranks(
     elapsed = np.asarray(elapsed_cycles, dtype=float)
     mpi = np.asarray(mpi_cycles, dtype=float)
     if not (useful.size == elapsed.size == mpi.size) or useful.size == 0:
-        raise ValueError("per-rank arrays must be non-empty and equal length")
+        raise CapiError("per-rank arrays must be non-empty and equal length")
     return PopMetrics(
         region=region,
         visits=visits,

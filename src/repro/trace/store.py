@@ -48,7 +48,7 @@ from typing import BinaryIO, Generator, Iterable, Iterator
 import numpy as np
 
 from repro.errors import CapiError
-from repro.scorep.tracing import EVENT_KINDS, KIND_CODE, EventBlock, TraceEvent
+from repro.scorep.tracing import EVENT_KINDS, EventBlock, TraceEvent
 
 FORMAT_VERSION = 2
 
@@ -106,26 +106,18 @@ class LocationMeta:
 class TraceWriter:
     """Append-only writer for one location's event stream.
 
-    Buffers at most ``buffer_events`` events, then encodes them as one
-    block, so tracer memory stays O(buffer) regardless of trace length.
+    Holds no events: each :meth:`flush` encodes one
+    :class:`~repro.scorep.tracing.EventBlock` as one block of the file,
+    so tracer memory stays O(block) regardless of trace length.
     Satisfies the duck-type ``ScorePTracer.writer`` expects:
-    ``write_events(events)`` and ``close() -> LocationMeta``.
+    ``flush(block)`` and ``close() -> LocationMeta``.
     """
 
-    def __init__(
-        self,
-        trace_dir: str | Path,
-        rank: int,
-        *,
-        buffer_events: int = 4096,
-    ) -> None:
+    def __init__(self, trace_dir: str | Path, rank: int) -> None:
         if rank < 0:
             raise TraceStoreError(f"location rank must be >= 0, got {rank}")
-        if buffer_events < 1:
-            raise TraceStoreError("buffer_events must be >= 1")
         self.trace_dir = Path(trace_dir)
         self.rank = rank
-        self.buffer_events = buffer_events
         self.path = location_path(self.trace_dir, rank)
         self.trace_dir.mkdir(parents=True, exist_ok=True)
         # pid suffix: an abandoned zombie attempt and its retry may
@@ -134,73 +126,74 @@ class TraceWriter:
         self._wip = self.path.with_name(f"{self.path.name}.wip-{os.getpid()}")
         self._fh = open(self._wip, "wb")
         self._fh.write(HEADER.pack(MAGIC, FORMAT_VERSION, rank))
-        # the pending block: its records and the names it defines
-        self._pending: list[tuple[int, int, float, int]] = []
-        self._new_names: list[bytes] = []
+        #: file region id of each name defined so far
         self._regions: dict[str, int] = {}
         self.events_written = 0
         self.flushes = 0
         self.closed = False
 
-    def _region_id(self, name: str) -> int:
-        region_id = self._regions.get(name)
-        if region_id is None:
-            encoded = name.encode("utf-8")
-            if len(encoded) > 0xFFFF:
-                raise TraceStoreError(
-                    f"region name of {len(encoded)} bytes exceeds the "
-                    f"{0xFFFF}-byte limit: {name[:40]!r}..."
-                )
-            region_id = len(self._regions)
-            self._regions[name] = region_id
-            self._new_names.append(encoded)
-        return region_id
+    def write_events(self, events: Iterable[TraceEvent]) -> None:
+        """Write an event list as one block (the event-list entry)."""
+        events = list(events)
+        for event in events:
+            if event.mid is not None and event.mid < 0:
+                # -1 is "none" in column form: reject it before the block
+                raise TraceStoreError(f"message id must be >= 0, got {event.mid}")
+        self.flush(EventBlock.from_events(events))
 
-    def write(self, event: TraceEvent) -> None:
+    def flush(self, block: EventBlock) -> None:
+        """Write one block: map its names to file ids, define the names
+        the file has not seen (in order of first use), check the records,
+        then encode and write them."""
         if self.closed:
             raise TraceStoreError(f"writer for rank {self.rank} already closed")
-        mid = event.mid
-        if mid is None:
-            mid = -1
-        elif mid < 0:
-            raise TraceStoreError(f"message id must be >= 0, got {mid}")
-        self._pending.append(
-            (
-                KIND_CODE[event.kind],
-                self._region_id(event.region),
-                event.timestamp_cycles,
-                mid,
-            )
-        )
-        self.events_written += 1
-        if len(self._pending) >= self.buffer_events:
-            self.flush()
-
-    def write_events(self, events: Iterable[TraceEvent]) -> None:
-        for event in events:
-            self.write(event)
-
-    def flush(self) -> None:
-        """Encode the pending events as one block and write it out."""
-        if not self._pending:
+        if not len(block.t):
             return
+        if (
+            (block.kind >= len(EVENT_KINDS)).any()
+            or (block.region >= len(block.names)).any()
+            or (block.mid < -1).any()
+        ):
+            raise TraceStoreError(
+                f"bad record in block {self.flushes} of rank {self.rank}: "
+                f"a kind code, region id or message id (-1 for none) is "
+                f"out of range"
+            )
+        regions = self._regions
+        ids = np.array([regions.get(name, -1) for name in block.names], dtype=np.int64)
+        used, first = np.unique(block.region, return_index=True)
+        fresh = ids[used] < 0
+        new = used[fresh][np.argsort(first[fresh])].tolist()
+        new_names = [block.names[region].encode("utf-8") for region in new]
+        for name in new_names:
+            if len(name) > 0xFFFF:
+                raise TraceStoreError(
+                    f"region name of {len(name)} bytes exceeds the "
+                    f"{0xFFFF}-byte limit: {name[:40]!r}..."
+                )
+        for region in new:
+            ids[region] = regions[block.names[region]] = len(regions)
+        records = np.empty(len(block.t), dtype=RECORD)
+        records["kind"] = block.kind
+        records["region"] = ids[block.region]
+        records["t"] = block.t
+        records["mid"] = block.mid
         self._fh.write(
             b"".join(
                 [
-                    BLOCK.pack(BLOCK_TAG, len(self._new_names), len(self._pending)),
-                    *(NAME_LEN.pack(len(name)) + name for name in self._new_names),
-                    np.array(self._pending, dtype=RECORD).tobytes(),
+                    BLOCK.pack(BLOCK_TAG, len(new_names), len(records)),
+                    *(NAME_LEN.pack(len(name)) + name for name in new_names),
+                    records.tobytes(),
                 ]
             )
         )
-        self._pending.clear()
-        self._new_names.clear()
+        self.events_written += len(records)
         self.flushes += 1
 
     def close(self) -> LocationMeta:
+        """Write the footer and publish the file."""
         if self.closed:
             raise TraceStoreError(f"writer for rank {self.rank} already closed")
-        self.flush()
         self._fh.write(FOOTER.pack(FOOTER_TAG, self.events_written))
         self._fh.close()
         os.replace(self._wip, self.path)

@@ -294,11 +294,12 @@ def run_app(
 
     ``tracing=True`` (scorep tool only) attaches an event tracer next to
     the profile: every region enter/leave and MPI operation lands in
-    ``outcome.tracer`` with timestamps, at extra per-event cost.
+    ``outcome.tracer.blocks`` with timestamps, at extra per-event cost
+    (``outcome.tracer.all_events()`` is the event view).
 
     ``trace_dir=`` (requires ``tracing=True``) persists the event
     stream to an OTF2-shaped archive instead of memory: the tracer
-    spills full buffers to a per-location file under ``trace_dir`` (see
+    flushes each full block to a per-location file under ``trace_dir`` (see
     :mod:`repro.trace.store`) and ``outcome.trace_meta`` summarises the
     closed location.  On the single-rank path the event list is then
     only on disk (``outcome.tracer.all_events()`` raises; read it back
@@ -475,7 +476,9 @@ def run_app(
     if outcome.measurement is not None:
         outcome.measurement.finalize()
         outcome.scorep_profile = outcome.measurement.profile()
-    if outcome.tracer is not None and trace_writer is not None:
+    if outcome.tracer is not None and trace_writer is None:
+        outcome.tracer.flush()
+    elif outcome.tracer is not None:
         meta = outcome.tracer.close_writer()
         outcome.trace_meta = meta
         if trace_location is None:

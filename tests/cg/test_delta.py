@@ -283,60 +283,3 @@ class TestRefreshBitIdentity:
         assert refreshed.alive is base.alive
         assert refreshed.live_ids is base.live_ids
         assert refreshed.meta_column("statements") is base.meta_column("statements")
-
-
-class TestForwardBackwardScc:
-    """The vectorised FB-SCC must produce the same *partition* as Tarjan
-    (component ids may differ — consumers order via ``topo_order``)."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(2, 12),
-        edges=st.lists(
-            st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=30
-        ),
-        seed_count=st.integers(1, 3),
-    )
-    def test_partition_matches_tarjan(self, n, edges, seed_count):
-        graph = CallGraph()
-        for i in range(n):
-            graph.add_node(f"f{i}", NodeMeta(statements=1, has_body=True))
-        for u, v in edges:
-            graph.add_edge(f"f{u % n}", f"f{v % n}")
-        snapshot = graph.csr()
-        seeds = tuple(range(min(seed_count, n)))
-        t_of, t_members = csr_kernels.tarjan_scc(
-            snapshot.succ_indptr, snapshot.succ_indices, seeds, snapshot.n
-        )
-        f_of, f_members = csr_kernels.forward_backward_scc(
-            snapshot.succ_indptr,
-            snapshot.succ_indices,
-            snapshot.pred_indptr,
-            snapshot.pred_indices,
-            seeds,
-            snapshot.n,
-        )
-        assert {frozenset(m) for m in t_members} == {
-            frozenset(m) for m in f_members
-        }
-        # same coverage, and comp_of is consistent with the member lists
-        assert np.array_equal(t_of >= 0, f_of >= 0)
-        for cid, members in enumerate(f_members):
-            assert all(f_of[m] == cid for m in members)
-
-    def test_condense_dispatcher_picks_tarjan_below_threshold(self):
-        graph = CallGraph()
-        graph.add_edge("a", "b")
-        graph.add_edge("b", "a")
-        snapshot = graph.csr()
-        comp_of, comp_members = csr_kernels.scc_condense(
-            snapshot.succ_indptr,
-            snapshot.succ_indices,
-            snapshot.pred_indptr,
-            snapshot.pred_indices,
-            (0,),
-            snapshot.n,
-        )
-        assert len(comp_members) == 1
-        assert sorted(comp_members[0]) == [0, 1]
-        assert comp_of[0] == comp_of[1] == 0

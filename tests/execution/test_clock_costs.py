@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import CapiError
 from repro.execution.clock import CYCLES_PER_SECOND, VirtualClock
 from repro.execution.costs import CostModel
 
@@ -33,7 +34,7 @@ class TestCostModel:
         assert cm.handler_cost("talp") > cm.handler_cost("none")
 
     def test_unknown_tool_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CapiError, match="unknown tool"):
             CostModel().handler_cost("vtune")
 
     def test_nop_sled_near_zero(self):

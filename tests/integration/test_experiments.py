@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import CapiError
 from repro.experiments.anomalies import compute_anomalies, render
 from repro.experiments.runner import SPEC_ORDER, prepare_app, run_configuration
 from repro.experiments.table1 import compute_table1, render_table1
@@ -19,7 +20,7 @@ class TestPreparedApp:
         assert a is b
 
     def test_unknown_app_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CapiError, match="unknown app"):
             prepare_app("gromacs")
 
     def test_select_all_covers_spec_order(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SimMpiError
+from repro.errors import CapiError, SimMpiError
 from repro.execution.workload import Workload
 from repro.multirank.imbalance import ImbalanceSpec
 
@@ -107,7 +107,7 @@ class TestScenarios:
     def test_unknown_scenario_rejected(self):
         from repro.apps import scenario
 
-        with pytest.raises(ValueError):
+        with pytest.raises(CapiError, match="unknown scenario"):
             scenario("nope")
 
 

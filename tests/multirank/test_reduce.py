@@ -210,12 +210,12 @@ class TestPopFromRanks:
         assert m.elapsed_seconds == 20.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CapiError, match="non-empty and equal length"):
             compute_pop_from_ranks(
                 "r", visits=0, useful_cycles=[], elapsed_cycles=[],
                 mpi_cycles=[], frequency=1.0,
             )
-        with pytest.raises(ValueError):
+        with pytest.raises(CapiError, match="non-empty and equal length"):
             compute_pop_from_ranks(
                 "r", visits=0, useful_cycles=[1.0], elapsed_cycles=[1.0, 2.0],
                 mpi_cycles=[1.0], frequency=1.0,

@@ -4,6 +4,7 @@ import pytest
 
 from repro.execution.clock import VirtualClock
 from repro.scorep.tracing import (
+    BLOCK_EVENTS,
     RankedTraceEvent,
     ScorePTracer,
     TraceEventKind,
@@ -48,11 +49,13 @@ class TestRecording:
         assert TraceEventKind.MPI in kinds
 
     def test_buffer_flushing(self):
-        tracer = ScorePTracer(clock=VirtualClock(), buffer_size=4)
-        for i in range(10):
-            tracer.enter(f"r{i}")
-        assert tracer.flush_count >= 2
-        assert len(tracer.all_events()) == 10
+        """Every BLOCK_EVENTS rows become one block; the tail stays
+        buffered until a flush."""
+        tracer = ScorePTracer(clock=VirtualClock())
+        for i in range(2 * BLOCK_EVENTS + 10):
+            tracer.enter(f"r{i % 7}")
+        assert [len(block.t) for block in tracer.blocks] == [BLOCK_EVENTS] * 2
+        assert len(tracer.all_events()) == 2 * BLOCK_EVENTS + 10
 
 
 class TestPersistence:
@@ -61,18 +64,17 @@ class TestPersistence:
         to its archive writer; closing the writer adds the live tail, and
         the archive reads back as exactly the stream an in-memory tracer
         records."""
-        tracer = ScorePTracer(
-            clock=VirtualClock(), buffer_size=8, writer=TraceWriter(tmp_path, 0)
-        )
-        in_memory = ScorePTracer(clock=VirtualClock(), buffer_size=8)
+        writer = TraceWriter(tmp_path, 0)
+        tracer = ScorePTracer(clock=VirtualClock(), writer=writer)
+        in_memory = ScorePTracer(clock=VirtualClock())
         for rec in (tracer, in_memory):
-            for i in range(10):
-                rec.enter(f"r{i}")
+            for i in range(1500):
+                rec.enter(f"r{i % 10}")
                 rec.mpi("MPI_Barrier")
-                rec.leave(f"r{i}")
-        assert tracer.flush_count >= 3
-        assert tracer.events  # live tail not yet flushed
-        assert tracer.close_writer().events == 30
+                rec.leave(f"r{i % 10}")
+        assert writer.flushes == 1  # live tail not yet flushed
+        meta = tracer.close_writer()
+        assert (meta.events, meta.flushes) == (4500, 2)
         loaded = load_location(tmp_path, 0)
         assert loaded == in_memory.all_events()
         stamps = [e.timestamp_cycles for e in loaded]

@@ -23,11 +23,13 @@ def write_archive(
     buffer_events: int = 4096,
     definitions: bool = True,
 ):
-    """Publish an OTF2-shaped archive from per-rank event lists."""
+    """Publish an OTF2-shaped archive from per-rank event lists, written
+    ``buffer_events`` events per block."""
     metas = []
     for rank, events in sorted(streams.items()):
-        writer = TraceWriter(trace_dir, rank, buffer_events=buffer_events)
-        writer.write_events(events)
+        writer = TraceWriter(trace_dir, rank)
+        for start in range(0, len(events), buffer_events):
+            writer.write_events(events[start : start + buffer_events])
         metas.append(writer.close())
     if definitions:
         write_definitions(

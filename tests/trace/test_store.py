@@ -8,7 +8,7 @@ import pytest
 
 from repro.execution.clock import VirtualClock
 from repro.multirank.faults import HealthReport, RankHealth
-from repro.scorep.tracing import ScorePTracer, TraceEventKind
+from repro.scorep.tracing import EventBlock, ScorePTracer, TraceEventKind
 from repro.trace import (
     TraceStoreError,
     TraceWriter,
@@ -84,8 +84,9 @@ class TestWriterRoundTrip:
         """A trace larger than the write buffer spans several flushes
         and still reads back bit-identical."""
         events = sample_events(100)
-        writer = TraceWriter(tmp_path, 1, buffer_events=7)
-        writer.write_events(events)
+        writer = TraceWriter(tmp_path, 1)
+        for start in range(0, len(events), 7):
+            writer.write_events(events[start : start + 7])
         meta = writer.close()
         assert meta.flushes > 3
         assert load_location(tmp_path, 1) == events
@@ -93,8 +94,7 @@ class TestWriterRoundTrip:
     def test_regions_interned_once(self, tmp_path):
         writer = TraceWriter(tmp_path, 0)
         for _ in range(5):
-            writer.write(ev(E, "hot", 1.0))
-            writer.write(ev(L, "hot", 2.0))
+            writer.write_events([ev(E, "hot", 1.0), ev(L, "hot", 2.0)])
         meta = writer.close()
         assert meta.regions == ("hot",)
         data = location_path(tmp_path, 0).read_bytes()
@@ -103,7 +103,7 @@ class TestWriterRoundTrip:
     def test_writer_spills_from_tracer(self, tmp_path):
         """ScorePTracer with a writer streams events to disk instead of
         accumulating them, and refuses in-memory access."""
-        writer = TraceWriter(tmp_path, 0, buffer_events=4)
+        writer = TraceWriter(tmp_path, 0)
         tracer = ScorePTracer(clock=VirtualClock(), writer=writer)
         for i in range(10):
             tracer.enter(f"r{i % 2}")
@@ -120,11 +120,11 @@ class TestWriterRoundTrip:
         writer = TraceWriter(tmp_path, 0)
         writer.close()
         with pytest.raises(TraceStoreError, match="already closed"):
-            writer.write(ev(E, "a", 1.0))
+            writer.write_events([ev(E, "a", 1.0)])
 
     def test_abort_publishes_nothing(self, tmp_path):
         writer = TraceWriter(tmp_path, 4)
-        writer.write(ev(E, "a", 1.0))
+        writer.write_events([ev(E, "a", 1.0)])
         writer.abort()
         assert not location_path(tmp_path, 4).exists()
         assert discover_ranks(tmp_path) == []
@@ -313,20 +313,32 @@ class TestBinaryLayout:
     def test_writer_rejects_negative_mid(self, tmp_path):
         writer = TraceWriter(tmp_path, 0)
         with pytest.raises(TraceStoreError, match="message id"):
-            writer.write(ev(M, "MPI_Isend", 1.0, mid=-1))
+            writer.write_events([ev(M, "MPI_Isend", 1.0, mid=-1)])
+        writer.abort()
+
+    @pytest.mark.parametrize(
+        "column, value", [("kind", 3), ("region", 1), ("mid", -2)]
+    )
+    def test_writer_rejects_bad_block_records(self, tmp_path, column, value):
+        block = EventBlock.from_events([ev(M, "MPI_Isend", 1.0, mid=0)])
+        bad = block._replace(**{column: np.array([value], getattr(block, column).dtype)})
+        writer = TraceWriter(tmp_path, 0)
+        with pytest.raises(TraceStoreError, match="bad record"):
+            writer.flush(bad)
         writer.abort()
 
     def test_writer_rejects_overlong_name(self, tmp_path):
         writer = TraceWriter(tmp_path, 0)
         with pytest.raises(TraceStoreError, match="exceeds"):
-            writer.write(ev(E, "x" * 70_000, 1.0))
+            writer.write_events([ev(E, "x" * 70_000, 1.0)])
         writer.abort()
 
     def test_blocks_follow_flushes(self, tmp_path):
         """One block per flush; names resolve across blocks."""
         events = sample_events(20)
-        writer = TraceWriter(tmp_path, 0, buffer_events=6)
-        writer.write_events(events)
+        writer = TraceWriter(tmp_path, 0)
+        for start in range(0, len(events), 6):
+            writer.write_events(events[start : start + 6])
         meta = writer.close()
         blocks = list(iter_location_blocks(location_path(tmp_path, 0)))
         assert [len(b.t) for b in blocks] == [6, 6, 6, 2]

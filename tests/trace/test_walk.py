@@ -10,7 +10,8 @@ the merged-order check — together with the analyses that read them.
 The walk takes a clean block whole, as columns, and any other block
 event by event, so any split of a stream into blocks must walk the
 same (``TestAnySplit``).  ``TestReadsPerPostMortem`` counts how often a
-traced world and its post-mortem read each location file.
+traced world and its post-mortem read each location file, and the event
+objects they build.
 """
 
 import tempfile
@@ -538,9 +539,23 @@ def opened(monkeypatch):
     return paths
 
 
-def traced_world(trace_dir):
+@pytest.fixture
+def built(monkeypatch):
+    """How many event objects of each class are built, in this process."""
+    counts = {TraceEvent: 0, RankedTraceEvent: 0}
+    for cls in counts:
+
+        def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            counts[_cls] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+def traced_world(trace_dir=None):
     """A traced 8-rank world on the supervised backend, archived in
-    ``trace_dir``."""
+    ``trace_dir`` (or kept in memory without one)."""
     return run_app(
         build_app(make_demo_builder().build()),
         mode="ic",
@@ -550,7 +565,7 @@ def traced_world(trace_dir):
         workload=Workload(site_cap=4),
         imbalance=ImbalanceSpec(imbalance=0.3, seed=7),
         tracing=True,
-        trace_dir=str(trace_dir),
+        trace_dir=None if trace_dir is None else str(trace_dir),
         backend="supervised",
     )
 
@@ -605,31 +620,12 @@ class TestReadsPerPostMortem:
         assert sorted(opened) == [location_path(tmp_path, r) for r in sorted(streams)]
 
     def test_traced_world_and_post_mortem_build_no_event_objects(
-        self, tmp_path, monkeypatch
+        self, tmp_path, built
     ):
-        """Past the events each rank's tracer records, a traced 8-rank
-        world and its post-mortem build no event objects: the rank gate,
-        the in-world merge and every walk read block columns."""
-        built = {TraceEvent: 0, RankedTraceEvent: 0}
-        for cls in built:
-
-            def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
-                built[_cls] += 1
-                _init(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", counting)
-        out = run_app(
-            build_app(make_demo_builder().build()),
-            mode="ic",
-            tool="scorep",
-            ic=InstrumentationConfig(functions=frozenset({"kernel", "solve"})),
-            ranks=8,
-            workload=Workload(site_cap=4),
-            imbalance=ImbalanceSpec(imbalance=0.3, seed=7),
-            tracing=True,
-            trace_dir=str(tmp_path),
-            backend="supervised",
-        )
+        """A traced 8-rank world and its post-mortem build no event
+        objects: the tracers record rows, and the rank gate, the
+        in-world merge and every walk read block columns."""
+        out = traced_world(tmp_path)
         recorded = sum(r.trace_meta.events for r in out.multirank.per_rank)
         trace = open_merged_trace(tmp_path)
         assert trace.validate() == []
@@ -638,4 +634,15 @@ class TestReadsPerPostMortem:
         classify_wait_states(trace)
         assert scan_run(tmp_path) == []
         assert recorded > 0
-        assert built == {TraceEvent: recorded, RankedTraceEvent: 0}
+        assert built == {TraceEvent: 0, RankedTraceEvent: 0}
+
+    def test_in_memory_world_and_its_analyses_build_no_event_objects(self, built):
+        """Without an archive the ranks ship their blocks, and the rank
+        gate, the merge and the analyses read them as columns too."""
+        trace = traced_world().merged_trace
+        assert sum(trace.events_per_rank) > 0
+        assert trace.validate() == []
+        trace.wait_states()
+        assert trace.critical_path()
+        classify_wait_states(trace)
+        assert built == {TraceEvent: 0, RankedTraceEvent: 0}
