@@ -69,9 +69,8 @@ def call_depth_dense(graph: CallGraph, root_id: int) -> np.ndarray:
     comparisons instead of per-node dict lookups.
 
     Memoised on the snapshot under ``("depth", root_id)`` (with the
-    root's reach mask alongside), so repeated depth filters over one
-    graph version share the BFS — and a delta refresh carries the
-    arrays over when the edit leaves the root's reachable set untouched.
+    root's reach mask alongside, which :func:`reach_ids_frozen` reuses),
+    so repeated depth filters over one graph version share the BFS.
     Treat the returned array as read-only.
     """
     snapshot = graph.csr()
@@ -211,9 +210,8 @@ def aggregate_statement_dense(graph: CallGraph, root_id: int) -> np.ndarray:
     vectorised threshold filter.
 
     Memoised on the snapshot under ``("agg", root_id)`` (with the root's
-    reach mask alongside); a delta refresh carries the array over when
-    the edit cannot reach the root's aggregation region.  Treat the
-    returned array as read-only.
+    reach mask alongside, which :func:`reach_ids_frozen` reuses).  Treat
+    the returned array as read-only.
     """
     snapshot = graph.csr()
     dense = snapshot.analyses.get(("agg", root_id))

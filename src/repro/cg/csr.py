@@ -118,15 +118,6 @@ def _sorted_row(adjacency: Sequence[set], row: int) -> np.ndarray:
     return out
 
 
-def _extend(arr: np.ndarray, n: int, fill) -> np.ndarray:
-    """``arr`` grown to length ``n`` with ``fill`` (shared when equal)."""
-    if arr.shape[0] == n:
-        return arr
-    out = np.full(n, fill, dtype=arr.dtype)
-    out[: arr.shape[0]] = arr
-    return out
-
-
 def _gather(
     indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray
 ) -> np.ndarray:
@@ -512,9 +503,9 @@ class CsrSnapshot:
         self._waves: list[np.ndarray] | None | bool = False
         #: root-keyed analysis memo: ``(kind, root_id) -> array/frozenset``
         #: ("reach" mask, "depth" BFS array, "agg" statement totals,
-        #: "reachset" id frozenset) — filled by :mod:`repro.cg.analysis`,
-        #: carried through :meth:`refresh` when the delta leaves the
-        #: root's reachable set untouched
+        #: "reachset" id frozenset) — filled by :mod:`repro.cg.analysis`
+        #: for this version only: a refreshed snapshot starts empty, as a
+        #: rebuilt one does
         self.analyses: dict[tuple[str, int], object] = {}
         #: version this snapshot was delta-refreshed from (``None`` for a
         #: from-scratch build) — service stats report on it
@@ -544,9 +535,10 @@ class CsrSnapshot:
 
         Consumes the mutation journal since this snapshot's version:
         touched CSR rows are re-spliced, new rows appended, the alive
-        mask, meta columns and root-keyed analyses extended/patched —
-        with every untouched span block-copied (or shared outright), so
-        the cost is O(delta), not O(graph).  The hard contract is
+        mask and meta columns extended/patched — with every untouched
+        span block-copied (or shared outright), so the cost is O(delta),
+        not O(graph).  Root-keyed analyses are not carried: they are
+        recomputed on first use, as after a rebuild.  The hard contract is
         bit-identity: the produced arrays equal a from-scratch
         ``CsrSnapshot(graph)`` at the new version (property-tested).
 
@@ -618,31 +610,6 @@ class CsrSnapshot:
                 value = getattr(node.meta, attr) if node is not None else None
                 new_column[nid] = value or 0
             self._meta_columns[attr] = new_column
-        # root-keyed analyses: carry those whose supporting reachable set
-        # the delta provably left alone (no touched id is reachable; new
-        # ids cannot be reachable then — any edge making one reachable
-        # would touch an old reachable id)
-        touched = [
-            t
-            for t in (delta.struct_touched | delta.meta_touched)
-            if t < old_n
-        ]
-        touched_arr = np.fromiter(touched, dtype=np.int64, count=len(touched))
-        for (kind, root), reach in base.analyses.items():
-            if kind != "reach":
-                continue
-            if touched_arr.size and bool(reach[touched_arr].any()):
-                continue
-            self.analyses[("reach", root)] = _extend(reach, n, False)
-            depth = base.analyses.get(("depth", root))
-            if depth is not None:
-                self.analyses[("depth", root)] = _extend(depth, n, -1)
-            agg = base.analyses.get(("agg", root))
-            if agg is not None:
-                self.analyses[("agg", root)] = _extend(agg, n, 0)
-            reachset = base.analyses.get(("reachset", root))
-            if reachset is not None:
-                self.analyses[("reachset", root)] = reachset
 
     @property
     def graph(self) -> "CallGraph":

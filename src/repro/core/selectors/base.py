@@ -31,13 +31,23 @@ disjoint from the delta's touched ids survive the edit.  Universe
 changes (node adds/removals) and journal truncation still drop the
 store wholesale, which keeps the soundness argument local to
 edge/reason/meta deltas.
+
+A support is a tuple of *parts*: id sets evaluation already holds (a
+selector's result, its inputs' results, the snapshot's memoised root
+cone, a call path's two sweeps), kept by reference.
+:func:`union_support` concatenates parts and never builds a set, so a
+support costs a few references whatever the graph size.  A set is
+disjoint from a union exactly when it is disjoint from every part, so
+retention checks the parts one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import AbstractSet
 
 from repro.cg.graph import CallGraph
+from repro.errors import CapiError
 
 
 #: default LRU cap on structural-key entries within one graph version —
@@ -46,36 +56,34 @@ from repro.cg.graph import CallGraph
 #: store unboundedly between graph mutations
 DEFAULT_CACHE_ENTRIES = 4096
 
-#: largest *constructed* support set worth tracking — beyond this, the
-#: per-delta disjointness checks cost more than recomputing the selector,
-#: so ``supports_of`` degrades to ``None`` (drop on any delta).  Shared
-#: references returned by :func:`union_support` bypass the cap: they cost
-#: nothing to keep no matter their size.
-SUPPORT_CAP = 131072
+#: one side of a delta support: the id sets a result read, by reference
+Support = tuple[AbstractSet[int], ...]
 
-_EMPTY_SUPPORT: frozenset[int] = frozenset()
+#: ``(meta, struct)`` supports, or ``None`` when the dependency set is
+#: unknown (such results drop on any delta)
+Supports = tuple[Support, Support] | None
 
 
-def union_support(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
-    """Union of two support sets, sharing a reference when one is empty.
+def union_support(*supports: Support | AbstractSet[int]) -> Support:
+    """Concatenate supports into one tuple of parts, copying no set.
 
-    Selector supports are dominated by a few huge reachable sets flowing
-    unchanged through combinator chains; returning the non-empty operand
-    instead of copying keeps paper-scale supports O(1) memory per entry.
+    Each argument is a support or a bare set (one part).  Empty sets
+    and parts already present by identity are skipped, so the huge
+    reachable sets that flow unchanged through combinator chains are
+    held once per entry, by reference.
     """
-    if not a:
-        return b
-    if not b:
-        return a
-    return a | b
+    parts: dict[int, AbstractSet[int]] = {}
+    for support in supports:
+        for part in support if isinstance(support, tuple) else (support,):
+            if part:
+                parts.setdefault(id(part), part)
+    return tuple(parts.values())
 
 
-def combined_supports(
-    ctx: "EvalContext", *selectors: "Selector"
-) -> tuple[frozenset[int], frozenset[int]] | None:
-    """Union the delta supports of several inputs; ``None`` poisons."""
-    meta = _EMPTY_SUPPORT
-    struct = _EMPTY_SUPPORT
+def combined_supports(ctx: "EvalContext", *selectors: "Selector") -> Supports:
+    """Concatenate the delta supports of several inputs; ``None`` poisons."""
+    meta: Support = ()
+    struct: Support = ()
     for selector in selectors:
         supports = ctx.supports_of(selector)
         if supports is None:
@@ -109,18 +117,16 @@ class CrossRunCache:
 
     def __init__(self, max_entries: int = DEFAULT_CACHE_ENTRIES) -> None:
         if max_entries < 1:
-            raise ValueError("max_entries must be at least 1")
+            raise CapiError("max_entries must be at least 1")
         self.max_entries = max_entries
         #: strong reference: keeps the bound graph alive so a recycled
         #: ``id()`` of a freed graph can never alias into this store
         self._graph: CallGraph | None = None
         self._version: int | None = None
         self._store: dict[str, frozenset[int]] = {}
-        #: per-key delta supports: ``(meta_ids, struct_ids)`` or ``None``
+        #: per-key delta supports: ``(meta, struct)`` parts or ``None``
         #: when unknown (such entries cannot survive any delta)
-        self._supports: dict[
-            str, tuple[frozenset[int], frozenset[int]] | None
-        ] = {}
+        self._supports: dict[str, Supports] = {}
         #: cross-run hits served (diagnostics / tests)
         self.hits = 0
         #: entries dropped to keep the store within ``max_entries``
@@ -160,21 +166,19 @@ class CrossRunCache:
         meta_touched = delta.meta_touched
         struct_touched = delta.struct_touched
         keep: dict[str, frozenset[int]] = {}
-        keep_supports: dict[
-            str, tuple[frozenset[int], frozenset[int]] | None
-        ] = {}
+        keep_supports: dict[str, Supports] = {}
         for key, result in self._store.items():
             supports = self._supports.get(key)
-            if supports is not None:
-                meta_sup, struct_sup = supports
-                if meta_sup.isdisjoint(meta_touched) and struct_sup.isdisjoint(
-                    struct_touched
-                ):
-                    keep[key] = result
-                    keep_supports[key] = supports
-                    self.retained += 1
-                    continue
-            self.dropped += 1
+            if (
+                supports is not None
+                and all(part.isdisjoint(meta_touched) for part in supports[0])
+                and all(part.isdisjoint(struct_touched) for part in supports[1])
+            ):
+                keep[key] = result
+                keep_supports[key] = supports
+                self.retained += 1
+            else:
+                self.dropped += 1
         self._store = keep
         self._supports = keep_supports
 
@@ -191,11 +195,11 @@ class CrossRunCache:
         self,
         key: str,
         result: frozenset[int],
-        supports: tuple[frozenset[int], frozenset[int]] | None = None,
+        supports: Supports = None,
     ) -> None:
         """Insert one result, evicting least-recently-used past the cap.
 
-        ``supports`` records the ``(meta_ids, struct_ids)`` the result
+        ``supports`` records the ``(meta, struct)`` parts the result
         depends on; ``None`` marks the dependency set unknown, so the
         entry is dropped by the first delta-based invalidation.
         """
@@ -220,9 +224,7 @@ class EvalContext:
     graph: CallGraph
     _cache: dict[int, frozenset[int]] = field(default_factory=dict)
     #: per-instance memo of :meth:`supports_of` results
-    _supports: dict[
-        int, "tuple[frozenset[int], frozenset[int]] | None"
-    ] = field(default_factory=dict)
+    _supports: dict[int, Supports] = field(default_factory=dict)
     #: evaluation statistics: selector description -> result size
     trace: list[tuple[str, int]] = field(default_factory=list)
     #: optional cross-run cache (see :class:`CrossRunCache`), already
@@ -264,29 +266,22 @@ class EvalContext:
         self.trace.append((selector.describe(), len(result)))
         return result
 
-    def supports_of(
-        self, selector: "Selector"
-    ) -> "tuple[frozenset[int], frozenset[int]] | None":
+    def supports_of(self, selector: "Selector") -> Supports:
         """Delta supports of a selector, memoised per instance.
 
-        ``(meta_ids, struct_ids)``: the result of ``selector`` can only
-        change under an edge/reason/meta delta that touches one of these
-        ids (universe changes invalidate everything regardless, so
-        supports never need to account for new or removed nodes).
-        ``None`` means the dependency set is unknown or too large to
-        track (:data:`SUPPORT_CAP`) — such results drop on any delta.
+        ``(meta, struct)``, each a tuple of id sets: the result of
+        ``selector`` can only change under an edge/reason/meta delta that
+        touches an id in one of these parts (universe changes invalidate
+        everything regardless, so supports never need to account for new
+        or removed nodes).  ``None`` means the dependency set is unknown
+        — such results drop on any delta.
         """
         key = id(selector)
         if key in self._supports:
             return self._supports[key]
         # recursion guard: a selector cycle degrades to "unknown"
         self._supports[key] = None
-        supports = selector.delta_supports(self)
-        if supports is not None:
-            meta_sup, struct_sup = supports
-            if len(meta_sup) > SUPPORT_CAP or len(struct_sup) > SUPPORT_CAP:
-                supports = None
-        self._supports[key] = supports
+        supports = self._supports[key] = selector.delta_supports(self)
         return supports
 
     def evaluate(self, selector: "Selector") -> frozenset[str]:
@@ -314,18 +309,18 @@ class Selector:
         """Compute the selected function-name set (uncached)."""
         return set(ctx.graph.ids_to_names(self.select_ids(ctx)))
 
-    def delta_supports(
-        self, ctx: EvalContext
-    ) -> "tuple[frozenset[int], frozenset[int]] | None":
-        """``(meta_ids, struct_ids)`` this selector's result depends on.
+    def delta_supports(self, ctx: EvalContext) -> Supports:
+        """``(meta, struct)`` parts this selector's result depends on.
 
         The contract (for deltas that do not change the id universe —
         those invalidate wholesale upstream): any edit sequence touching
-        only metadata of ids outside ``meta_ids`` and structure of ids
-        outside ``struct_ids`` leaves :meth:`select_ids` unchanged.
-        ``None`` (the conservative default) declares the dependency set
-        unknown.  Access through :meth:`EvalContext.supports_of`, never
-        directly — the memo there doubles as the recursion guard.
+        only metadata of ids outside every ``meta`` part and structure of
+        ids outside every ``struct`` part leaves :meth:`select_ids`
+        unchanged.  Build the parts with :func:`union_support` from sets
+        evaluation already holds.  ``None`` (the conservative default)
+        declares the dependency set unknown.  Access through
+        :meth:`EvalContext.supports_of`, never directly — the memo there
+        doubles as the recursion guard.
         """
         return None
 
@@ -346,7 +341,7 @@ class AllSelector(Selector):
     def delta_supports(self, ctx: EvalContext):
         # the id universe itself; only adds/removes change it, and those
         # invalidate wholesale before supports are even consulted
-        return (_EMPTY_SUPPORT, _EMPTY_SUPPORT)
+        return ((), ())
 
     def describe(self) -> str:
         return "%%"

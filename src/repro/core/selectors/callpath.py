@@ -82,17 +82,18 @@ class CallPath(Selector):
         if src_sup is None or tgt_sup is None:
             return None
         # the intersection can grow through an edge landing in either
-        # sweep, so the structural support is their union (not the
-        # result): forward cone of the sources plus backward cone of the
+        # sweep, so the structural support is both sweeps (not the
+        # result): forward cone of the sources and backward cone of the
         # targets
         graph = ctx.graph
-        cone = frozenset(
-            graph.reachable_ids(ctx.evaluate_ids(self.sources))
-            | graph.reaching_ids(ctx.evaluate_ids(self.targets))
-        )
         return (
             union_support(src_sup[0], tgt_sup[0]),
-            union_support(union_support(src_sup[1], tgt_sup[1]), cone),
+            union_support(
+                src_sup[1],
+                tgt_sup[1],
+                graph.reachable_ids(ctx.evaluate_ids(self.sources)),
+                graph.reaching_ids(ctx.evaluate_ids(self.targets)),
+            ),
         )
 
 

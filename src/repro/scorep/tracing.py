@@ -137,6 +137,21 @@ class EventBlock(NamedTuple):
     def events(self) -> Iterator[TraceEvent]:
         return (TraceEvent(*row) for row in self.rows())
 
+    def __eq__(self, other: object) -> bool:
+        """Column by column, plus the names; tuple equality would ask an
+        elementwise array comparison for one truth value and raise."""
+        if not isinstance(other, EventBlock):
+            return NotImplemented
+        return tuple(self.names) == tuple(other.names) and all(
+            np.array_equal(mine, theirs)
+            for mine, theirs in zip(self[:4], other[:4])
+        )
+
+    def __ne__(self, other: object) -> bool:
+        # tuple's own ``__ne__`` would still compare the arrays
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
 
 def ranked_events(
     rank: int, blocks: Iterable[EventBlock]

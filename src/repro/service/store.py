@@ -115,6 +115,8 @@ class GraphStore:
     ) -> None:
         if max_bytes < 1:
             raise ServiceError("max_bytes must be positive")
+        if cache_entries < 1:
+            raise ServiceError("cache_entries must be at least 1")
         self.max_bytes = max_bytes
         self.cache_entries = cache_entries
         self._graphs: dict[str, CallGraph] = {}

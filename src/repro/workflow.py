@@ -124,14 +124,7 @@ def build_app(
 
 def serve_selection(
     apps: "BuiltApp | Mapping[str, BuiltApp] | Iterable[BuiltApp]",
-    *,
-    max_bytes: int | None = None,
-    cache_entries: int | None = None,
-    window_seconds: float | None = None,
-    max_batch: int | None = None,
-    max_in_flight: int | None = None,
-    verify: bool = False,
-    **service_kwargs,
+    **options,
 ) -> "SelectionService":
     """Start a selection service over one or many built applications.
 
@@ -141,21 +134,16 @@ def serve_selection(
     :class:`~repro.service.SelectionService` answers
     ``(tenant, graph key, spec source)`` queries batched, with results
     bit-identical to one-shot :meth:`~repro.core.capi.Capi.select`
-    evaluation.  ``verify=True`` re-derives every batch sequentially and
-    asserts that identity (the ``serve --check`` mode).  Extra keyword
-    arguments pass straight through to
-    :class:`~repro.service.SelectionService` — e.g. ``shards=4`` for a
-    sharded worker pool, ``faults="worker-hang"`` for a supervised chaos
-    drill, or ``supervised=False`` for the bare PR 8 worker.  Close the
+    evaluation.  ``max_bytes`` and ``cache_entries`` go to the store;
+    every other option passes straight through to
+    :class:`~repro.service.SelectionService` — e.g. ``verify=True`` to
+    re-derive every batch sequentially and assert that identity (the
+    ``serve --check`` mode), ``shards=4`` for a sharded worker pool,
+    ``faults="worker-hang"`` for a supervised chaos drill, or
+    ``supervised=False`` for the bare, unsupervised worker.  Close the
     service when done (it is a context manager).
     """
     from repro.service import GraphStore, SelectionService
-    from repro.service.service import (
-        DEFAULT_MAX_BATCH,
-        DEFAULT_MAX_IN_FLIGHT,
-        DEFAULT_WINDOW_SECONDS,
-    )
-    from repro.service.store import DEFAULT_MAX_BYTES
 
     if isinstance(apps, BuiltApp):
         keyed = {apps.name: apps}
@@ -165,26 +153,14 @@ def serve_selection(
         keyed = {app.name: app for app in apps}
     if not keyed:
         raise CapiError("serve_selection needs at least one built app")
-    store_kwargs: dict = {}
-    if max_bytes is not None:
-        store_kwargs["max_bytes"] = max_bytes
-    else:
-        store_kwargs["max_bytes"] = DEFAULT_MAX_BYTES
-    if cache_entries is not None:
-        store_kwargs["cache_entries"] = cache_entries
-    store = GraphStore(**store_kwargs)
-    service = SelectionService(
-        store,
-        window_seconds=(
-            DEFAULT_WINDOW_SECONDS if window_seconds is None else window_seconds
-        ),
-        max_batch=DEFAULT_MAX_BATCH if max_batch is None else max_batch,
-        max_in_flight=(
-            DEFAULT_MAX_IN_FLIGHT if max_in_flight is None else max_in_flight
-        ),
-        verify=verify,
-        **service_kwargs,
+    store = GraphStore(
+        **{
+            name: options.pop(name)
+            for name in ("max_bytes", "cache_entries")
+            if name in options
+        }
     )
+    service = SelectionService(store, **options)
     for key, app in keyed.items():
         service.admit(key, app.graph)
     return service

@@ -49,7 +49,7 @@ def assert_bit_identical(actual: CsrSnapshot, expected: CsrSnapshot) -> None:
 
 
 def assert_analyses_valid(graph: CallGraph, snapshot: CsrSnapshot) -> None:
-    """Carried-over analysis memos must equal recomputation from scratch."""
+    """A snapshot's analysis memos must equal recomputation from scratch."""
     for (kind, root), value in snapshot.analyses.items():
         reach = csr_kernels.sweep(
             snapshot.succ_indptr, snapshot.succ_indices, (root,), snapshot.n
@@ -228,8 +228,9 @@ class TestRefreshBitIdentity:
     @settings(max_examples=40, deadline=None)
     @given(ops=_ops)
     def test_analyses_carry_stays_correct(self, ops):
-        """Interleave root-keyed analyses with edits: whatever the delta
-        refresh carries over must equal recomputation from scratch."""
+        """Interleave root-keyed analyses with edits: the delta refresh
+        carries none of them, so a refreshed snapshot's memos equal a
+        rebuilt one's (both empty), and a kept snapshot's stay valid."""
         graph = CallGraph()
         graph.add_edge("f0", "f1")
         graph.add_edge("f1", "f2")
@@ -238,10 +239,13 @@ class TestRefreshBitIdentity:
             if root is not None:
                 call_depth_dense(graph, root)
                 aggregate_statement_dense(graph, root)
+            before = graph.csr()
             _apply(graph, op)
             snapshot = graph.csr()
             assert_bit_identical(snapshot, CsrSnapshot(graph))
             assert_analyses_valid(graph, snapshot)
+            if snapshot is not before:
+                assert snapshot.analyses == CsrSnapshot(graph).analyses == {}
 
     def test_refresh_rebuilds_for_foreign_graph(self):
         a, b = CallGraph(), CallGraph()

@@ -8,6 +8,7 @@ from repro.core.capi import Capi
 from repro.core.pipeline import PipelineBuilder, evaluate_pipeline
 from repro.core.selectors.base import CrossRunCache
 from repro.core.spec.modules import load_spec
+from repro.errors import CapiError
 
 
 def small_graph() -> CallGraph:
@@ -303,7 +304,7 @@ class TestCrossRunCacheCap:
         assert cache.evictions == 0  # capacity evictions only
 
     def test_cap_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CapiError, match="max_entries"):
             CrossRunCache(max_entries=0)
 
     def test_capped_cache_stays_correct_under_one_off_spec_stream(self):

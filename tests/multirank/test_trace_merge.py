@@ -1,5 +1,7 @@
 """Multi-rank trace merge: logical-clock alignment, wait states, critical path."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -308,6 +310,24 @@ class TestRunAppTracing:
             (sp.op, sp.aligned_cycles, sp.wait_cycles)
             for sp in traced.merged_trace.sync_points
         ]
+
+    def test_traced_rank_results_compare(self, demo_app, demo_ic, traced):
+        """A rerun's results hold equal blocks in distinct arrays: they
+        compare equal, and a changed timestamp makes them differ."""
+        again = run_app(
+            demo_app, mode="ic", tool="scorep", ic=demo_ic, ranks=4,
+            workload=WL, imbalance=ImbalanceSpec(stragglers=1, seed=31),
+            tracing=True,
+        ).multirank.per_rank
+        first = traced.multirank.per_rank
+        assert again[0].trace[0].t is not first[0].trace[0].t
+        assert again == first
+        block = again[0].trace[0]
+        shifted = block._replace(t=block.t + 1.0)
+        again[0] = dataclasses.replace(
+            again[0], trace=(shifted,) + again[0].trace[1:]
+        )
+        assert again != first
 
     def test_tracing_false_leaves_outcome_untouched(self, demo_app, demo_ic):
         out = run_app(

@@ -5,6 +5,7 @@ import pytest
 from repro.execution.clock import VirtualClock
 from repro.scorep.tracing import (
     BLOCK_EVENTS,
+    EventBlock,
     RankedTraceEvent,
     ScorePTracer,
     TraceEventKind,
@@ -56,6 +57,36 @@ class TestRecording:
             tracer.enter(f"r{i % 7}")
         assert [len(block.t) for block in tracer.blocks] == [BLOCK_EVENTS] * 2
         assert len(tracer.all_events()) == 2 * BLOCK_EVENTS + 10
+
+
+class TestBlockEquality:
+    """Blocks compare column by column, so containers of blocks
+    (``RankResult.trace``) compare without raising."""
+
+    ROWS = [(0, 0, 1.0, -1), (2, 1, 2.0, 7), (1, 0, 3.0, -1)]
+
+    def test_equal_blocks_in_distinct_arrays(self):
+        a = EventBlock.from_rows(self.ROWS, ["main", "MPI_Send"])
+        b = EventBlock.from_rows(self.ROWS, ("main", "MPI_Send"))
+        assert a.t is not b.t
+        assert a == b and not a != b
+        assert (a, a) == (b, b)
+
+    @pytest.mark.parametrize(
+        "rows, names",
+        [
+            ([(0, 0, 1.0, -1), (2, 1, 2.5, 7), (1, 0, 3.0, -1)], None),
+            ([(0, 0, 1.0, -1), (2, 1, 2.0, 8), (1, 0, 3.0, -1)], None),
+            ([(0, 0, 1.0, -1), (2, 1, 2.0, 7)], None),
+            (None, ["main", "MPI_Recv"]),
+        ],
+        ids=["t", "mid", "length", "names"],
+    )
+    def test_differing_blocks(self, rows, names):
+        a = EventBlock.from_rows(self.ROWS, ["main", "MPI_Send"])
+        b = EventBlock.from_rows(rows or self.ROWS, names or a.names)
+        assert a != b and not a == b
+        assert [a] != [b]
 
 
 class TestPersistence:

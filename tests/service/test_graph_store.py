@@ -73,6 +73,12 @@ class TestAdmission:
         with pytest.raises(ServiceError):
             GraphStore(max_bytes=0)
 
+    def test_cache_entries_must_be_positive(self):
+        # refused when configured, not on the first access inside a
+        # shard worker, where the spec would take the blame
+        with pytest.raises(ServiceError, match="cache_entries"):
+            GraphStore(cache_entries=0)
+
 
 class TestLruEviction:
     def test_mixed_access_keeps_lru_order_and_evicts_oldest(self):

@@ -231,6 +231,18 @@ class TestServeSelection:
         with pytest.raises(CapiError, match="at least one"):
             serve_selection({})
 
+    def test_options_reach_the_store_and_the_service(self):
+        from repro.workflow import build_app, serve_selection
+        from tests.conftest import make_demo_builder
+
+        app = build_app(make_demo_builder().build())
+        with serve_selection(
+            app, max_bytes=1 << 20, cache_entries=7, max_batch=3, verify=True
+        ) as service:
+            assert service.store.max_bytes == 1 << 20
+            assert service.store.cache_entries == 7
+            assert service.max_batch == 3 and service.verify
+
 
 class TestAdaptiveWindow:
     def test_solo_traffic_shrinks_window_toward_floor(self):
@@ -282,6 +294,30 @@ class TestAdaptiveWindow:
                 assert frozenset(response.selection.selected) == frozenset(
                     direct.selected
                 )
+
+
+class TestStatsContract:
+    """The ``stats_snapshot()`` keys perfbench's ``serve`` workload reads
+    (``layer_extras``): dropping one fails here, not only in the
+    benchmark smoke."""
+
+    def test_snapshot_keeps_the_keys_the_benchmark_reads(self):
+        with make_service() as service:
+            service.select("g", SPECS[0], tenant="t0")
+            stats = service.stats_snapshot()
+        for name in (
+            "batches",
+            "per_tenant",
+            "deduped",
+            "unique_evaluated",
+            "cross_hits",
+            "compile_hits",
+            "compile_misses",
+            "retried",
+        ):
+            assert name in stats, name
+        for name in ("warm_hits", "cold_builds", "cache_retained", "cache_dropped"):
+            assert isinstance(stats["store"][name], int), name
 
 
 class TestDeltaEditWarmth:
