@@ -2,7 +2,7 @@
 
 Times the interned-id selection pipeline and the memoised execution
 engine against a faithful re-implementation of the seed (pre-interning)
-code paths:
+code paths, all kept in ``benchmarks/reference.py``:
 
 * **selection baseline** — a string-keyed graph (``dict[str, set[str]]``
   adjacency) evaluated with the seed's copying accessors and
@@ -11,9 +11,10 @@ code paths:
   cache replaced by a write-discarding stand-in (per-invocation target
   resolution, exactly the seed behaviour) plus the seed's linear-scan
   address/sled resolution restored via monkeypatching;
-* **analysis baseline** — the pre-CSR dict/set graph kernels kept in
-  ``repro.cg.analysis`` (dict-based Tarjan condensation, dict DP,
-  bytearray sweep), timed against the CSR flat-array kernels.
+* **analysis baseline** — the pre-CSR dict/set graph kernels
+  (dict-based Tarjan condensation, dict DP, bytearray sweep, deque
+  BFS), timed against the CSR kernels and the dense analyses the
+  selectors read.
 
 Both baselines must produce *identical* results (selected sets,
 ``t_total``/``t_init`` per Table II cell) — the speedup is asserted on
@@ -27,21 +28,34 @@ to the repository root so the performance trajectory is tracked:
 from __future__ import annotations
 
 import json
-import re
+import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
-from repro._util import compare
-from repro.apps import PAPER_SPECS
-from repro.cg.graph import CallGraph
-from repro.core.pipeline import PipelineBuilder, evaluate_pipeline
-from repro.core.spec.ast import AllExpr, Assign, CallExpr, RefExpr
-from repro.core.spec.modules import load_spec
-from repro.execution.engine import ExecutionEngine
-from repro.experiments.runner import prepare_app, run_configuration
+import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    # run as a script: ``benchmarks.reference`` resolves from the root
+    sys.path.insert(0, str(REPO_ROOT))
+
+from benchmarks.reference import (  # noqa: E402
+    condense,
+    dict_aggregate_statement_ids,
+    dict_condensation_edges,
+    dict_condense,
+    dict_depths,
+    dict_reachable_ids,
+    dict_topo_order,
+    seed_execution_mode,
+    seed_reference_select,
+)
+from repro.apps import PAPER_SPECS  # noqa: E402
+from repro.cg.analysis import aggregate_statement_dense, call_depth_dense  # noqa: E402
+from repro.core.pipeline import PipelineBuilder, evaluate_pipeline  # noqa: E402
+from repro.core.spec.modules import load_spec  # noqa: E402
+from repro.experiments.runner import prepare_app, run_configuration  # noqa: E402
+
 RECORD_PATH = REPO_ROOT / "BENCH_selection.json"
 
 #: the 8k-node bench graph of benchmarks/conftest.py
@@ -101,218 +115,6 @@ ENGINE_CELLS = (
     ("ic kernels/scorep", dict(mode="ic", tool="scorep", ic="kernels")),
     ("ic kernels coarse/talp", dict(mode="ic", tool="talp", ic="kernels coarse")),
 )
-
-
-# -- seed-reference selection -------------------------------------------------------
-#
-# A faithful re-implementation of the seed's string-keyed data structure
-# and per-selector algorithms, evaluated straight off the spec AST.
-
-
-class SeedGraph:
-    """The seed ``CallGraph`` layout: name-keyed dict-of-set adjacency."""
-
-    def __init__(self, graph: CallGraph):
-        self.meta = {node.name: node.meta for node in graph.nodes()}
-        self.succ: dict[str, set[str]] = {name: set() for name in self.meta}
-        self.pred: dict[str, set[str]] = {name: set() for name in self.meta}
-        for edge in graph.edges():
-            self.succ[edge.caller].add(edge.callee)
-            self.pred[edge.callee].add(edge.caller)
-
-    # the seed's copying accessors
-    def callees_of(self, name: str) -> set[str]:
-        return set(self.succ.get(name, ()))
-
-    def callers_of(self, name: str) -> set[str]:
-        return set(self.pred.get(name, ()))
-
-    def reachable_from(self, roots) -> set[str]:
-        seen: set[str] = set()
-        stack = [r for r in roots if r in self.meta]
-        while stack:
-            name = stack.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            stack.extend(self.succ[name] - seen)
-        return seen
-
-    def reaching(self, targets) -> set[str]:
-        seen: set[str] = set()
-        stack = [t for t in targets if t in self.meta]
-        while stack:
-            name = stack.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            stack.extend(self.pred[name] - seen)
-        return seen
-
-    def coarse(self, selected: set[str], critical: set[str]) -> set[str]:
-        # the seed's top-down BFS, plus the root-seeding fix the CSR
-        # selector ships: components without a zero-in-degree node
-        # (top-level cycles) get one representative seeded so their
-        # single-caller pass-throughs collapse too
-        from collections import deque
-
-        result = set(selected)
-        order = sorted(self.meta)
-        visited: set[str] = set()
-        queue = deque(n for n in order if not self.pred[n])
-        cursor = 0
-        while True:
-            while queue:
-                name = queue.popleft()
-                if name in visited:
-                    continue
-                visited.add(name)
-                for callee in sorted(self.callees_of(name)):
-                    if (
-                        callee in result
-                        and callee not in critical
-                        and self.callers_of(callee) == {name}
-                    ):
-                        result.discard(callee)
-                    queue.append(callee)
-            while cursor < len(order) and order[cursor] in visited:
-                cursor += 1
-            if cursor == len(order):
-                return result
-            queue.append(order[cursor])
-
-
-_META_FLAGS = {
-    "inSystemHeader": "in_system_header",
-    "inlineSpecified": "inline_marked",
-    "virtual": "is_virtual",
-    "defined": "has_body",
-}
-_METRICS = {
-    "flops": lambda g, n: g.meta[n].flops,
-    "loopDepth": lambda g, n: g.meta[n].loop_depth,
-    "statements": lambda g, n: g.meta[n].statements,
-    "callSites": lambda g, n: len(g.succ[n]),
-    "callers": lambda g, n: len(g.pred[n]),
-}
-
-
-def seed_reference_select(graph: CallGraph, spec_source: str) -> frozenset[str]:
-    """Evaluate a spec with the seed's string-set algorithms."""
-    g = SeedGraph(graph)
-    spec = load_spec(spec_source)
-    named: dict[str, set[str]] = {}
-
-    def ev(expr) -> set[str]:
-        if isinstance(expr, AllExpr):
-            return set(g.meta)
-        if isinstance(expr, RefExpr):
-            return set(named[expr.name])
-        assert isinstance(expr, CallExpr)
-        sel, args = expr.selector, expr.args
-        if sel == "join":
-            out: set[str] = set()
-            for a in args:
-                out |= ev(a)
-            return out
-        if sel == "subtract":
-            out = ev(args[0])
-            for a in args[1:]:
-                out -= ev(a)
-            return out
-        if sel == "intersect":
-            out = ev(args[0])
-            for a in args[1:]:
-                out &= ev(a)
-            return out
-        if sel == "complement":
-            return set(g.meta) - ev(args[0])
-        if sel in _META_FLAGS:
-            attr = _META_FLAGS[sel]
-            return {n for n in ev(args[0]) if getattr(g.meta[n], attr)}
-        if sel in _METRICS:
-            op, threshold = args[0].value, args[1].value
-            fn = _METRICS[sel]
-            return {
-                n for n in ev(args[2]) if compare(op, float(fn(g, n)), threshold)
-            }
-        if sel == "byName":
-            rx = re.compile(args[0].value)
-            return {n for n in ev(args[1]) if rx.fullmatch(n)}
-        if sel == "byPath":
-            rx = re.compile(args[0].value)
-            return {n for n in ev(args[1]) if rx.search(g.meta[n].source_path)}
-        if sel == "onCallPathTo":
-            return g.reaching(ev(args[0]))
-        if sel == "onCallPathFrom":
-            return g.reachable_from(ev(args[0]))
-        if sel == "callPath":
-            return g.reachable_from(ev(args[0])) & g.reaching(ev(args[1]))
-        if sel == "coarse":
-            critical = ev(args[1]) if len(args) > 1 else set()
-            return g.coarse(ev(args[0]), critical)
-        raise NotImplementedError(f"seed reference lacks selector {sel!r}")
-
-    result: set[str] = set()
-    for stmt in spec.statements:
-        if isinstance(stmt, Assign):
-            named[stmt.name] = ev(stmt.expr)
-            result = named[stmt.name]
-        else:
-            result = ev(stmt)
-    return frozenset(result)
-
-
-# -- seed-reference engine mode ---------------------------------------------------
-
-
-@contextmanager
-def seed_execution_mode():
-    """Restore the seed's per-call hot-path behaviour process-wide.
-
-    * every engine resolves call targets and rebuilds function records
-      per invocation (``defeat_memoization``),
-    * Score-P address resolution scans the executable symbol table and
-      all injected DSO symbols linearly per event, and
-    * XRay ``sleds_of`` scans the whole sled table per query.
-    """
-    from repro.scorep import resolution
-    from repro.xray import runtime as xray_runtime
-
-    orig_post = ExecutionEngine.__post_init__
-    orig_resolve = resolution.AddressResolver.resolve
-    orig_sleds_of = xray_runtime.RegisteredObject.sleds_of
-
-    def seed_post(self):
-        orig_post(self)
-        self.defeat_memoization()
-
-    def seed_resolve(self, address):
-        exe = self.loader.loaded.get(self.executable_name)
-        if exe is not None and exe.region.contains(address):
-            for sym in exe.binary.symtab:
-                if sym.offset <= address - exe.base < sym.offset + sym.size:
-                    self.resolved_queries += 1
-                    return sym.name
-        for start, (name, size) in self._injected.items():
-            if start <= address < start + max(size, 1):
-                self.resolved_queries += 1
-                return name
-        self.unresolved_queries += 1
-        return None
-
-    def seed_sleds_of(self, function_id):
-        return [s for s in self.sleds if s.record.function_id == function_id]
-
-    ExecutionEngine.__post_init__ = seed_post
-    resolution.AddressResolver.resolve = seed_resolve
-    xray_runtime.RegisteredObject.sleds_of = seed_sleds_of
-    try:
-        yield
-    finally:
-        ExecutionEngine.__post_init__ = orig_post
-        resolution.AddressResolver.resolve = orig_resolve
-        xray_runtime.RegisteredObject.sleds_of = orig_sleds_of
 
 
 # -- measurement ------------------------------------------------------------------
@@ -686,82 +488,69 @@ def measure_incremental(prepared, edits: int = INCREMENTAL_EDITS) -> dict:
 
 
 def measure_analysis(prepared) -> dict:
-    """Graph-kernel timing: CSR flat-array kernels vs the dict baseline.
+    """Graph-kernel timing: the product analyses vs the dict baseline.
 
     Times condensation (SCC partition of the subgraph reachable from
-    ``main``), the statement-aggregation DP, the reachability sweep and
-    BFS call depths, each against the pre-CSR dict/set implementations
-    kept in :mod:`repro.cg.analysis` — after asserting the results are
-    bit-for-bit identical.  The acceptance floor applies to the combined
-    condensation + aggregation speedup (``ANALYSIS_FLOOR``).
+    ``main``), statement aggregation, the reachability sweep and BFS
+    call depths against the pre-CSR dict/set kernels of
+    ``benchmarks/reference.py``, after asserting the results are
+    bit-for-bit identical.  Aggregation and depths time the dense
+    analyses the selectors read, with the snapshot's memo cleared each
+    rep.  The acceptance floor applies to the combined condensation +
+    aggregation speedup (``ANALYSIS_FLOOR``).
     """
-    from collections import deque
-
-    from repro.cg import analysis
-    from repro.cg import csr as csr_kernels
-
     graph = prepared.app.graph
     root_id = graph.id_of("main")
     snapshot = graph.csr()
     snapshot.topological_waves()  # structural caches warm, like meta columns
 
+    def dense_aggregation():
+        snapshot.analyses.pop(("agg", root_id), None)
+        return aggregate_statement_dense(graph, root_id)
+
+    def dense_depths():
+        snapshot.analyses.pop(("depth", root_id), None)
+        return call_depth_dense(graph, root_id)
+
     # equality gates: aggregation totals, partition, depths, sweep
-    dict_agg = analysis._aggregate_statement_ids_dicts(graph, root_id)
-    csr_agg = analysis.aggregate_statement_ids(graph, root_id)
-    if dict_agg != csr_agg:
+    dict_agg = dict_aggregate_statement_ids(graph, root_id)
+    expected_agg = np.zeros(snapshot.n, dtype=np.int64)
+    expected_agg[list(dict_agg)] = list(dict_agg.values())
+    mismatched = np.flatnonzero(dense_aggregation() != expected_agg)
+    if mismatched.size:
         raise AssertionError(
-            "CSR aggregation differs from the dict baseline on "
-            f"{len(set(dict_agg.items()) ^ set(csr_agg.items()))} entries"
+            f"dense aggregation differs from the dict baseline on {mismatched.size} ids"
         )
-    dict_comp, dict_members = analysis._condense(graph, root_id)
-    _, csr_members = csr_kernels.condense(snapshot, root_id)
+    _, dict_members = dict_condense(graph, root_id)
+    _, csr_members = condense(snapshot, root_id)
     if sorted(tuple(sorted(m)) for m in dict_members) != sorted(
         tuple(sorted(m)) for m in csr_members
     ):
         raise AssertionError("CSR condensation partition differs from baseline")
-
-    def dict_depths() -> dict[int, int]:
-        depths = {root_id: 0}
-        queue = deque([root_id])
-        succ = graph.succ_ids
-        while queue:
-            nid = queue.popleft()
-            base = depths[nid] + 1
-            for callee in succ(nid):
-                if callee not in depths:
-                    depths[callee] = base
-                    queue.append(callee)
-        return depths
-
-    if dict_depths() != analysis.call_depth_ids_from(graph, root_id):
-        raise AssertionError("CSR call depths differ from baseline")
-    if analysis._dict_reachable_ids(graph, [root_id]) != graph.reachable_ids(
-        [root_id]
+    depths = dense_depths()
+    reached = np.flatnonzero(depths >= 0)
+    if dict(zip(reached.tolist(), depths[reached].tolist())) != dict_depths(
+        graph, root_id
     ):
+        raise AssertionError("dense call depths differ from baseline")
+    if dict_reachable_ids(graph, [root_id]) != graph.reachable_ids([root_id]):
         raise AssertionError("CSR reachability sweep differs from baseline")
 
     def dict_condensation():
-        comp_of, members = analysis._condense(graph, root_id)
-        comp_succ = analysis._condensation_edges(graph, comp_of, members)
-        analysis._topo_order(comp_succ)
+        comp_of, members = dict_condense(graph, root_id)
+        dict_topo_order(dict_condensation_edges(graph, comp_of, members))
 
     entries = {
-        "condensation": (
-            lambda: csr_kernels.condense(snapshot, root_id),
-            dict_condensation,
-        ),
-        "aggregate_statement_ids": (
-            lambda: analysis.aggregate_statement_ids(graph, root_id),
-            lambda: analysis._aggregate_statement_ids_dicts(graph, root_id),
+        "condensation": (lambda: condense(snapshot, root_id), dict_condensation),
+        "aggregate_statement_dense": (
+            dense_aggregation,
+            lambda: dict_aggregate_statement_ids(graph, root_id),
         ),
         "reachability_sweep": (
             lambda: graph.reachable_ids([root_id]),
-            lambda: analysis._dict_reachable_ids(graph, [root_id]),
+            lambda: dict_reachable_ids(graph, [root_id]),
         ),
-        "call_depths": (
-            lambda: analysis.call_depth_ids_from(graph, root_id),
-            dict_depths,
-        ),
+        "call_depths": (dense_depths, lambda: dict_depths(graph, root_id)),
     }
     kernels = {}
     for name, (csr_fn, dict_fn) in entries.items():
@@ -772,7 +561,7 @@ def measure_analysis(prepared) -> dict:
             "seed_seconds": t_dict,
             "speedup": t_dict / t_csr,
         }
-    floored = ("condensation", "aggregate_statement_ids")
+    floored = ("condensation", "aggregate_statement_dense")
     total_csr = sum(kernels[name]["seconds"] for name in floored)
     total_dict = sum(kernels[name]["seed_seconds"] for name in floored)
     return {

@@ -12,13 +12,6 @@ from repro.cg.graph import CallGraph, CGNode, Edge, EdgeReason, NodeMeta
 from repro.cg.local import LocalCallGraph, build_local_cg
 from repro.cg.merge import build_whole_program_cg, merge_local_graphs
 from repro.cg.validation import ValidationReport, validate_with_profile
-from repro.cg.analysis import (
-    aggregate_statements,
-    call_depths_from,
-    call_path_between,
-    on_call_path_from,
-    on_call_path_to,
-)
 
 __all__ = [
     "CGNode",
@@ -29,13 +22,8 @@ __all__ = [
     "LocalCallGraph",
     "NodeMeta",
     "ValidationReport",
-    "aggregate_statements",
     "build_local_cg",
     "build_whole_program_cg",
-    "call_depths_from",
-    "call_path_between",
     "merge_local_graphs",
-    "on_call_path_from",
-    "on_call_path_to",
     "validate_with_profile",
 ]

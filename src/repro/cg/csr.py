@@ -36,6 +36,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from repro.errors import CallGraphError
+
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.cg.graph import CallGraph
 
@@ -215,29 +217,6 @@ def peel_topological(
         indegree -= removed
         frontier = np.flatnonzero((indegree == 0) & (removed > 0))
     return waves if remaining == 0 else None
-
-
-def condense(
-    snapshot: "CsrSnapshot", root_id: int
-) -> tuple[np.ndarray, list[list[int]]]:
-    """SCC condensation of the subgraph reachable from ``root_id``.
-
-    Hybrid kernel: when the snapshot's cached wave order proves the
-    graph acyclic (the overwhelmingly common call-graph case), every
-    reachable node is its own component and the whole condensation is
-    one sweep plus a vectorised relabel; otherwise the flat-array
-    Tarjan takes over.  Returns ``(comp_of, comp_members)`` like
-    :func:`tarjan_scc`.
-    """
-    indptr, indices = snapshot.succ_indptr, snapshot.succ_indices
-    if snapshot.topological_waves() is None:
-        return tarjan_scc(indptr, indices, (root_id,), snapshot.n)
-    visited = sweep(indptr, indices, (root_id,), snapshot.n)
-    order = np.flatnonzero(visited)
-    comp_of = np.full(snapshot.n, -1, dtype=INDEX_DTYPE)
-    comp_of[order] = np.arange(order.size, dtype=INDEX_DTYPE)
-    comp_members = [[nid] for nid in order.tolist()]
-    return comp_of, comp_members
 
 
 def dag_longest_path(
@@ -621,7 +600,7 @@ class CsrSnapshot:
         snapshot raises instead of aliasing the live structure.
         """
         if self._graph.version != self.version:
-            raise RuntimeError(
+            raise CallGraphError(
                 "stale CsrSnapshot: the graph mutated since csr() was taken"
             )
         return self._graph
@@ -682,7 +661,7 @@ class CsrSnapshot:
         if cached is not None:
             return cached
         if self._graph.version != self.version:
-            raise RuntimeError(
+            raise CallGraphError(
                 "stale CsrSnapshot: the graph mutated since csr() was taken"
             )
         raw = self._graph.meta_column(attr)

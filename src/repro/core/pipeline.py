@@ -12,9 +12,10 @@ amortise each independently:
 * **compile** — :func:`compile_spec` resolves a spec (source text or
   parsed :class:`~repro.core.spec.ast.SpecFile`) into a
   :class:`CompiledSpec`: the selector DAG plus the structural
-  ``cache_key`` of every keyable node (see :func:`cache_key`).  A
-  compiled spec is immutable and graph-independent — it can be evaluated
-  against any number of call graphs, concurrently.
+  ``cache_key`` of every keyable node (attached by
+  :class:`PipelineBuilder`).  A compiled spec is immutable and
+  graph-independent — it can be evaluated against any number of call
+  graphs, concurrently.
 * **evaluate** — :func:`evaluate_pipeline` runs a pipeline over a
   :class:`~repro.cg.graph.CallGraph`; :func:`evaluate_compiled` is the
   service-oriented variant that runs against a *supplied* warm
@@ -65,49 +66,6 @@ class SelectionResult:
 
     def __len__(self) -> int:
         return len(self.selected)
-
-
-def cache_key(expr: Expr, named: dict[str, Selector] | None = None) -> str | None:
-    """Structural cache key of one spec expression.
-
-    ``%name`` references expand to the key of their *defining*
-    expression, so structurally identical pipelines share keys across
-    different spec files while same-named but different definitions
-    never collide.  Returns ``None`` when any part is unkeyable.
-
-    The key encodes selector *names* under their default-registry
-    meaning; :class:`PipelineBuilder` attaches keys per node only where
-    the resolving factory is the default one, so keys never alias custom
-    selector semantics (see :func:`attach_cache_key`).
-    """
-    named = named or {}
-    if isinstance(expr, AllExpr):
-        return "%%"
-    if isinstance(expr, RefExpr):
-        return getattr(named.get(expr.name), "cache_key", None)
-    if isinstance(expr, StrLit):
-        return f"s{expr.value!r}"
-    if isinstance(expr, NumLit):
-        return f"n{expr.value!r}"
-    if isinstance(expr, CallExpr):
-        parts = [cache_key(arg, named) for arg in expr.args]
-        if any(p is None for p in parts):
-            return None
-        return f"{expr.selector}({','.join(parts)})"  # type: ignore[arg-type]
-    return None
-
-
-def attach_cache_key(
-    selector: Selector, expr: Expr, named: dict[str, Selector] | None = None
-) -> str | None:
-    """Attach ``expr``'s structural key to ``selector``; returns the key."""
-    key = cache_key(expr, named)
-    if key is not None:
-        try:
-            selector.cache_key = key  # type: ignore[attr-defined]
-        except AttributeError:
-            return None  # slotted third-party selector: simply stays uncached
-    return key
 
 
 @dataclass(frozen=True)
@@ -324,17 +282,16 @@ def evaluate_compiled(
     snapshot whose graph has since mutated raises rather than mixing
     versions.
 
-    Both memo layers under this entry point are keyed to survive small
-    graph deltas rather than any version bump: the heavy sweep and
+    Two memo layers sit under this entry point.  The heavy sweep and
     aggregation intermediates live on the snapshot keyed by *root id*
     (``("reach"/"depth"/"agg", root_id)`` in ``CsrSnapshot.analyses``)
-    and are carried through a delta refresh whenever no touched id lies
-    in the root's reachable cone, while the cross-run cache keys final
-    selector results by structural expression and drops, per delta, only
-    those whose recorded support sets intersect the touched ids.  A
-    16-edge edit on a 400k-node graph therefore re-runs the pipeline
-    stages whose supporting components the edit touched — everything
-    else is served warm.
+    for that graph version only: a refreshed snapshot starts without
+    them, as a rebuilt one does.  The cross-run cache keys final
+    selector results by structural expression and drops, per in-place
+    delta, only those whose recorded supports intersect the touched ids.
+    A 16-edge edit on a 400k-node graph therefore re-runs the pipeline
+    stages whose supports the edit touched — every other stored result
+    is served warm.
     """
     return _evaluate(compiled.entry, snapshot.graph, cross_run)
 

@@ -2,12 +2,7 @@
 
 from repro.core.selectors.base import AllSelector, EvalContext, NamedRef, Selector
 from repro.core.selectors.aggregation import StatementAggregation
-from repro.core.selectors.callpath import (
-    CallDepth,
-    CallPath,
-    OnCallPathFrom,
-    OnCallPathTo,
-)
+from repro.core.selectors.callpath import CallDepth, OnCallPathFrom, OnCallPathTo
 from repro.core.selectors.coarse import Coarse
 from repro.core.selectors.combinators import Complement, Intersect, Join, Subtract
 from repro.core.selectors.metrics import METRICS, MetricThreshold
@@ -26,7 +21,6 @@ __all__ = [
     "ByName",
     "ByPath",
     "CallDepth",
-    "CallPath",
     "Coarse",
     "Complement",
     "DEFAULT_REGISTRY",

@@ -34,11 +34,10 @@ edge/reason/meta deltas.
 
 A support is a tuple of *parts*: id sets evaluation already holds (a
 selector's result, its inputs' results, the snapshot's memoised root
-cone, a call path's two sweeps), kept by reference.
-:func:`union_support` concatenates parts and never builds a set, so a
-support costs a few references whatever the graph size.  A set is
-disjoint from a union exactly when it is disjoint from every part, so
-retention checks the parts one by one.
+cone), kept by reference.  :func:`union_support` concatenates parts and
+never builds a set, so a support costs a few references whatever the
+graph size.  A set is disjoint from a union exactly when it is disjoint
+from every part, so retention checks the parts one by one.
 """
 
 from __future__ import annotations

@@ -9,11 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro._util import COMPARE_OPS, compare
-from repro.cg.analysis import (
-    call_depth_dense,
-    call_path_between_ids,
-    reach_ids_frozen,
-)
+from repro.cg.analysis import call_depth_dense, reach_ids_frozen
 from repro.core.selectors.base import EvalContext, Selector, union_support
 from repro.errors import SpecSemanticError
 
@@ -55,46 +51,6 @@ class OnCallPathFrom(Selector):
             return None
         # mirror image: an edge growing the reachable set starts inside it
         return (supports[0], union_support(supports[1], ctx.evaluate_ids(self)))
-
-
-class CallPath(Selector):
-    """Functions on some path from a source to a target selection.
-
-    The bundled ``mpi.capi`` defines ``mpi_comm = callPath(%main_entry,
-    %mpi_ops)`` — "all functions on a call path from main to any MPI
-    communication operation" (paper Listing 1 caption).
-    """
-
-    def __init__(self, sources: Selector, targets: Selector):
-        self.sources = sources
-        self.targets = targets
-
-    def select_ids(self, ctx: EvalContext) -> set[int]:
-        return call_path_between_ids(
-            ctx.graph,
-            ctx.evaluate_ids(self.sources),
-            ctx.evaluate_ids(self.targets),
-        )
-
-    def delta_supports(self, ctx: EvalContext):
-        src_sup = ctx.supports_of(self.sources)
-        tgt_sup = ctx.supports_of(self.targets)
-        if src_sup is None or tgt_sup is None:
-            return None
-        # the intersection can grow through an edge landing in either
-        # sweep, so the structural support is both sweeps (not the
-        # result): forward cone of the sources and backward cone of the
-        # targets
-        graph = ctx.graph
-        return (
-            union_support(src_sup[0], tgt_sup[0]),
-            union_support(
-                src_sup[1],
-                tgt_sup[1],
-                graph.reachable_ids(ctx.evaluate_ids(self.sources)),
-                graph.reaching_ids(ctx.evaluate_ids(self.targets)),
-            ),
-        )
 
 
 class CallDepth(Selector):

@@ -10,12 +10,7 @@ from typing import Callable, Sequence, Union
 
 from repro.core.selectors.aggregation import StatementAggregation
 from repro.core.selectors.base import Selector
-from repro.core.selectors.callpath import (
-    CallDepth,
-    CallPath,
-    OnCallPathFrom,
-    OnCallPathTo,
-)
+from repro.core.selectors.callpath import CallDepth, OnCallPathFrom, OnCallPathTo
 from repro.core.selectors.coarse import Coarse
 from repro.core.selectors.combinators import Complement, Intersect, Join, Subtract
 from repro.core.selectors.metrics import MetricThreshold
@@ -103,8 +98,14 @@ def _make_by_path(*args: Arg) -> Selector:
 
 
 def _make_call_path(*args: Arg) -> Selector:
+    # functions on some path from a source to a target: the sources'
+    # forward cone meets the targets' backward cone (``mpi.capi``'s
+    # ``mpi_comm``, the paper's Listing 1)
     _need(args, "callPath", Selector, Selector)
-    return CallPath(args[0], args[1])  # type: ignore[arg-type]
+    sources, targets = args
+    return Intersect(
+        OnCallPathFrom(sources), OnCallPathTo(targets)  # type: ignore[arg-type]
+    )
 
 
 def _make_call_depth(*args: Arg) -> Selector:

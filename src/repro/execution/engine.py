@@ -172,14 +172,6 @@ class _LayoutTables:
         return self.records
 
 
-class _NeverStore(dict):
-    """Cache stand-in that drops every write — used by equivalence tests
-    to force per-call recomputation through the exact same code path."""
-
-    def __setitem__(self, key, value) -> None:  # pragma: no cover - trivial
-        pass
-
-
 @dataclass
 class ExecutionEngine:
     """One configured run of a loaded program."""
@@ -653,19 +645,6 @@ class ExecutionEngine:
             # MPI pays the POP accounting update on exit
             totals.cycles += self.cost_model.talp_mpi_region_update
         return totals
-
-    # -- test hooks ---------------------------------------------------------------
-
-    def defeat_memoization(self) -> None:
-        """Swap every pure-structure cache for a write-discarding stand-in.
-
-        Equivalence tests call this to force per-invocation target
-        resolution and record building — the pre-memoisation behaviour —
-        through the identical code path, then assert bit-for-bit equal
-        :class:`RunResult` fields against a memoised engine.
-        """
-        self._target_cache = _NeverStore()
-        self._records = _NeverStore()
 
 
 def _as_ir_site(site: MachineCallSite):

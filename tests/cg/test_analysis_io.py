@@ -1,20 +1,32 @@
 """Tests for call-graph analyses and JSON round-trip."""
 
+import numpy as np
 import pytest
 
-from repro.cg.analysis import (
-    aggregate_statements,
-    call_depths_from,
-    call_path_between,
-    on_call_path_from,
-    on_call_path_to,
-    single_caller_nodes,
-)
+from benchmarks.reference import dict_topo_order
+from repro.cg.analysis import aggregate_statement_dense, call_depth_dense
 from repro.cg.graph import CallGraph, NodeMeta
 from repro.cg.io import from_dict, load, save, to_dict
 from repro.cg.merge import build_whole_program_cg
+from repro.core.pipeline import run_spec
+from repro.core.selectors import AllSelector, CallDepth
+from repro.core.spec.modules import load_spec
 from repro.errors import CallGraphError
 from tests.conftest import make_demo_builder
+
+
+def select(graph: CallGraph, source: str) -> frozenset[str]:
+    return run_spec(load_spec(source), graph).selected
+
+
+def aggregate_statements(graph: CallGraph, root: str) -> dict[str, int]:
+    """Aggregated statement totals of the nodes reached from ``root``."""
+    root_id = graph.id_of(root)
+    dense = aggregate_statement_dense(graph, root_id)
+    return {
+        graph.name_of(nid): int(dense[nid])
+        for nid in graph.reachable_ids([root_id])
+    }
 
 
 def chain_graph():
@@ -33,27 +45,30 @@ def chain_graph():
 class TestCallPaths:
     def test_on_call_path_to(self):
         g = chain_graph()
-        assert on_call_path_to(g, ["kernel"]) == {"kernel", "b", "a", "main"}
+        assert select(g, 'onCallPathTo(byName("kernel", %%))') == {
+            "kernel", "b", "a", "main",
+        }
 
     def test_on_call_path_from(self):
         g = chain_graph()
-        assert on_call_path_from(g, ["a"]) == {"a", "b", "kernel"}
+        assert select(g, 'onCallPathFrom(byName("a", %%))') == {"a", "b", "kernel"}
 
     def test_call_path_between(self):
         g = chain_graph()
-        assert call_path_between(g, ["main"], ["kernel"]) == {
-            "main", "a", "b", "kernel",
-        }
-        assert "other" not in call_path_between(g, ["main"], ["kernel"])
+        between = select(g, 'callPath(byName("main", %%), byName("kernel", %%))')
+        assert between == {"main", "a", "b", "kernel"}
+        assert "other" not in between
 
     def test_call_depths(self):
         g = chain_graph()
-        depths = call_depths_from(g, "main")
-        assert depths["main"] == 0
-        assert depths["kernel"] == 3
+        depths = call_depth_dense(g, g.id_of("main"))
+        assert depths[g.id_of("main")] == 0
+        assert depths[g.id_of("kernel")] == 3
+        assert np.array_equal(np.flatnonzero(depths >= 0), sorted(g.node_ids()))
 
     def test_call_depths_unknown_root(self):
-        assert call_depths_from(chain_graph(), "ghost") == {}
+        selector = CallDepth(">=", 0, AllSelector(), root="ghost")
+        assert selector.evaluate(chain_graph()) == frozenset()
 
 
 class TestStatementAggregation:
@@ -121,12 +136,10 @@ class TestTopoOrder:
         # component 0 calls component 1: any id-based ordering heuristic
         # (the old "iterate comp ids high to low") would process the
         # callee first; Kahn over the edges must not.
-        from repro.cg.analysis import _topo_order
-
-        assert _topo_order([{1}, set()]) == [0, 1]
-        assert _topo_order([set(), {0}]) == [1, 0]
+        assert dict_topo_order([{1}, set()]) == [0, 1]
+        assert dict_topo_order([set(), {0}]) == [1, 0]
         # diamond condensation: 0 -> {1, 2} -> 3
-        order = _topo_order([{1, 2}, {3}, {3}, set()])
+        order = dict_topo_order([{1, 2}, {3}, {3}, set()])
         assert order.index(0) < order.index(1)
         assert order.index(0) < order.index(2)
         assert order.index(3) == 3
@@ -141,15 +154,6 @@ class TestTopoOrder:
         g.add_edge("main", "mid")
         agg = aggregate_statements(g, "main")
         assert agg == {"main": 2, "mid": 4, "leaf": 6}
-
-
-class TestSingleCaller:
-    def test_single_caller_detection(self):
-        g = chain_graph()
-        within = {"main", "a", "b", "kernel"}
-        singles = single_caller_nodes(g, within)
-        assert {"a", "b", "kernel"} <= singles
-        assert "main" not in singles
 
 
 class TestJsonRoundTrip:

@@ -10,23 +10,22 @@ implementations.  Random graphs drive both the vectorised DAG fast path
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cg import csr as csr_kernels
-from repro.cg.analysis import (
-    _aggregate_statement_ids_dicts,
-    _condense,
-    _dict_reachable_ids,
-    aggregate_statement_dense,
-    aggregate_statement_ids,
-    call_depth_ids_from,
+from benchmarks.reference import (
+    condense,
+    dict_aggregate_statement_ids,
+    dict_condense,
+    dict_depths,
+    dict_reachable_ids,
 )
+from repro.cg import csr as csr_kernels
+from repro.cg.analysis import aggregate_statement_dense, call_depth_dense
 from repro.cg.graph import CallGraph, NodeMeta
+from repro.errors import CallGraphError
 
 
 @st.composite
@@ -63,19 +62,6 @@ def _live_ids(graph: CallGraph) -> list[int]:
     return sorted(graph.node_ids())
 
 
-def _naive_bfs_depths(graph: CallGraph, root_id: int) -> dict[int, int]:
-    depths = {root_id: 0}
-    queue = deque([root_id])
-    while queue:
-        nid = queue.popleft()
-        base = depths[nid] + 1
-        for callee in graph.succ_ids(nid):
-            if callee not in depths:
-                depths[callee] = base
-                queue.append(callee)
-    return depths
-
-
 def _naive_scc_partition(graph: CallGraph, root_id: int) -> set[tuple[int, ...]]:
     """Brute-force SCCs of the reachable subgraph: mutual reachability."""
     reachable = sorted(graph.reachable_ids([root_id]))
@@ -95,7 +81,7 @@ class TestSweep:
         seeds = data.draw(
             st.lists(st.sampled_from(live), min_size=1, unique=True)
         )
-        reference = _dict_reachable_ids(graph, seeds)
+        reference = dict_reachable_ids(graph, seeds)
         assert graph.reachable_ids(seeds) == reference
         # the vectorised kernel directly too — the public API routes
         # small graphs through the Python path
@@ -139,7 +125,7 @@ class TestScc:
     @given(graph=random_graphs(), data=st.data())
     def test_condense_matches_naive_partition(self, graph, data):
         root_id = data.draw(st.sampled_from(_live_ids(graph)))
-        _, members = csr_kernels.condense(graph.csr(), root_id)
+        _, members = condense(graph.csr(), root_id)
         assert {tuple(sorted(m)) for m in members} == _naive_scc_partition(
             graph, root_id
         )
@@ -152,7 +138,7 @@ class TestScc:
         _, members = csr_kernels.tarjan_scc(
             snapshot.succ_indptr, snapshot.succ_indices, (root_id,), snapshot.n
         )
-        _, dict_members = _condense(graph, root_id)
+        _, dict_members = dict_condense(graph, root_id)
         assert sorted(tuple(sorted(m)) for m in members) == sorted(
             tuple(sorted(m)) for m in dict_members
         )
@@ -177,7 +163,7 @@ class TestScc:
         graph.add_node("rec", NodeMeta(statements=2, has_body=True))
         graph.add_edge("main", "rec")
         graph.add_edge("rec", "rec")
-        _, members = csr_kernels.condense(graph.csr(), graph.id_of("main"))
+        _, members = condense(graph.csr(), graph.id_of("main"))
         assert sorted(len(m) for m in members) == [1, 1]
 
 
@@ -230,57 +216,23 @@ class TestAggregation:
     @settings(max_examples=80, deadline=None)
     @given(graph=random_graphs(), data=st.data())
     def test_matches_dict_baseline(self, graph, data):
+        # every reachable node is reached (statement counts are
+        # nonnegative) and carries the dict DP's total
         root_id = data.draw(st.sampled_from(_live_ids(graph)))
-        assert aggregate_statement_ids(
-            graph, root_id
-        ) == _aggregate_statement_ids_dicts(graph, root_id)
+        dense = aggregate_statement_dense(graph, root_id)
+        reached = graph.reachable_ids([root_id])
+        assert {
+            nid: int(dense[nid]) for nid in reached
+        } == dict_aggregate_statement_ids(graph, root_id)
 
     @settings(max_examples=40, deadline=None)
     @given(graph=random_graphs(), data=st.data())
     def test_dense_column_matches_dict_baseline(self, graph, data):
         root_id = data.draw(st.sampled_from(_live_ids(graph)))
         dense = aggregate_statement_dense(graph, root_id)
-        reference = _aggregate_statement_ids_dicts(graph, root_id)
+        reference = dict_aggregate_statement_ids(graph, root_id)
         for nid in range(graph.id_bound):
             assert dense[nid] == reference.get(nid, 0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(graph=random_graphs(), data=st.data())
-    def test_custom_metric_matches_dict_baseline(self, graph, data):
-        root_id = data.draw(st.sampled_from(_live_ids(graph)))
-        metric = lambda nid: 2 * nid + 1  # noqa: E731
-        assert aggregate_statement_ids(
-            graph, root_id, metric=metric
-        ) == _aggregate_statement_ids_dicts(graph, root_id, metric=metric)
-
-    @settings(max_examples=40, deadline=None)
-    @given(graph=random_graphs(), data=st.data())
-    def test_negative_custom_metric_matches_dict_baseline(self, graph, data):
-        # regression: negative metrics can push path sums below the -1
-        # unreached sentinel; descendants must drop (or survive) exactly
-        # like the dict baseline on both the DAG and cyclic code paths
-        root_id = data.draw(st.sampled_from(_live_ids(graph)))
-        metric = lambda nid: 7 - 5 * nid  # noqa: E731
-        assert aggregate_statement_ids(
-            graph, root_id, metric=metric
-        ) == _aggregate_statement_ids_dicts(graph, root_id, metric=metric)
-
-    def test_huge_custom_metric_is_exact(self):
-        # regression: custom metrics route through the Python-int DP, so
-        # path sums past the int64 range must not wrap
-        graph = CallGraph()
-        for name in ("main", "mid", "leaf"):
-            graph.add_node(name, NodeMeta(statements=1, has_body=True))
-        graph.add_edge("main", "mid")
-        graph.add_edge("mid", "leaf")
-        metric = lambda nid: 2**62  # noqa: E731
-        result = aggregate_statement_ids(
-            graph, graph.id_of("main"), metric=metric
-        )
-        assert result[graph.id_of("leaf")] == 3 * 2**62  # > int64 max
-        assert result == _aggregate_statement_ids_dicts(
-            graph, graph.id_of("main"), metric=metric
-        )
 
 
 class TestDagLongestPathKernel:
@@ -313,7 +265,7 @@ class TestDagLongestPathKernel:
             graph.id_of("main"),
         )
         id_metric = lambda nid: int(metric[nid])  # noqa: E731
-        reference = _aggregate_statement_ids_dicts(
+        reference = dict_aggregate_statement_ids(
             graph, graph.id_of("main"), metric=id_metric
         )
         got = {
@@ -344,19 +296,12 @@ class TestBfsDepths:
     @given(graph=random_graphs(), data=st.data())
     def test_matches_naive_bfs(self, graph, data):
         root_id = data.draw(st.sampled_from(_live_ids(graph)))
-        reference = _naive_bfs_depths(graph, root_id)
-        assert call_depth_ids_from(graph, root_id) == reference
-        # the vectorised kernel directly too (public API routes small
-        # graphs through the deque BFS)
-        snapshot = graph.csr()
-        dense = csr_kernels.bfs_depths(
-            snapshot.succ_indptr, snapshot.succ_indices, root_id, snapshot.n
-        )
+        dense = call_depth_dense(graph, root_id)
         got = {
             int(nid): int(dense[nid])
             for nid in np.flatnonzero(dense >= 0)
         }
-        assert got == reference
+        assert got == dict_depths(graph, root_id)
 
 
 class TestSnapshot:
@@ -409,7 +354,7 @@ class TestSnapshot:
         graph.add_node("a", NodeMeta(statements=1, has_body=True))
         snapshot = graph.csr()
         graph.add_edge("a", "b")
-        with pytest.raises(RuntimeError):
+        with pytest.raises(CallGraphError):
             snapshot.meta_column("statements")
 
     @settings(max_examples=40, deadline=None)

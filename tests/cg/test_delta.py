@@ -15,12 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.reference import dict_aggregate_statement_ids
 from repro.cg import csr as csr_kernels
-from repro.cg.analysis import (
-    _aggregate_statement_ids_dicts,
-    aggregate_statement_dense,
-    call_depth_dense,
-)
+from repro.cg.analysis import aggregate_statement_dense, call_depth_dense
 from repro.cg.csr import CsrSnapshot
 from repro.cg.delta import DeltaEntry, DeltaKind, DeltaLog, summarize
 from repro.cg.graph import CallGraph, EdgeReason, NodeMeta
@@ -65,7 +62,7 @@ def assert_analyses_valid(graph: CallGraph, snapshot: CsrSnapshot) -> None:
             assert np.array_equal(value, ref), ("depth", root)
         elif kind == "agg":
             dense = np.zeros(snapshot.n, dtype=np.int64)
-            for nid, total in _aggregate_statement_ids_dicts(graph, root).items():
+            for nid, total in dict_aggregate_statement_ids(graph, root).items():
                 dense[nid] = total
             assert np.array_equal(value, dense), ("agg", root)
 

@@ -313,15 +313,13 @@ def test_union_support_returns_the_operands():
 
 def test_support_parts_are_sets_evaluation_holds():
     """Every part of every support in the golden mix is a result the
-    context evaluated or a memo on the snapshot, held by identity
-    (``callPath``, left out here, adds its two sweeps)."""
+    context evaluated or a memo on the snapshot, held by identity."""
     graph = build_whole_program_cg(build_openfoam(target_nodes=2000))
     ctx = EvalContext(graph)
     for name, source in GOLDEN_SPECS.items():
-        if name != "callPath":
-            entry = compile_spec(source).entry
-            ctx.evaluate_ids(entry)
-            assert ctx.supports_of(entry) is not None, name
+        entry = compile_spec(source).entry
+        ctx.evaluate_ids(entry)
+        assert ctx.supports_of(entry) is not None, name
     held = {id(value) for value in ctx._cache.values()}
     held |= {id(value) for value in graph.csr().analyses.values()}
     parts = [

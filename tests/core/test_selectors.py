@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from repro.cg.graph import CallGraph, NodeMeta
 from repro.core.pipeline import PipelineBuilder, run_spec
+from repro.core.selectors import lookup
 from repro.core.selectors.base import AllSelector, EvalContext
-from repro.core.selectors.callpath import CallPath, OnCallPathTo
+from repro.core.selectors.callpath import OnCallPathTo
 from repro.core.selectors.coarse import Coarse
 from repro.core.selectors.combinators import Join, Subtract
 from repro.core.selectors.metrics import MetricThreshold
@@ -74,7 +75,7 @@ class TestCallPathSelectors:
 
     def test_call_path_between(self):
         g = sample_graph()
-        sel = CallPath(
+        sel = lookup("callPath")(
             ByName("main", AllSelector()), ByName("MPI_.*", AllSelector())
         )
         assert sel.evaluate(g) == {"main", "comm", "MPI_Allreduce"}

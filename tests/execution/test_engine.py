@@ -2,6 +2,7 @@
 
 import pytest
 
+from benchmarks.reference import defeat_memoization
 from repro.errors import ExecutionError
 from repro.execution.clock import VirtualClock
 from repro.execution.costs import CostModel
@@ -171,7 +172,7 @@ class TestSledCacheInvalidation:
     def test_memoization_defeat_is_equivalent(self):
         memoised = make_engine(with_xray=True, patch_all=True)[0].run()
         engine, _ = make_engine(with_xray=True, patch_all=True)
-        engine.defeat_memoization()
+        defeat_memoization(engine)
         recomputed = engine.run()
         assert memoised == recomputed
 

@@ -17,20 +17,18 @@ benchmark also uses:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from benchmarks.bench_selection_scale import (
+from benchmarks.reference import (
+    dict_aggregate_statement_ids,
+    dict_reachable_ids,
     seed_execution_mode,
     seed_reference_select,
 )
 from repro.apps import PAPER_SPECS, build_lulesh, build_openfoam
-from repro.cg.analysis import (
-    _aggregate_statement_ids_dicts,
-    _dict_reachable_ids,
-    aggregate_statement_ids,
-    call_depth_ids_from,
-)
+from repro.cg.analysis import aggregate_statement_dense, call_depth_dense
 from repro.cg.merge import build_whole_program_cg
 from repro.core.pipeline import run_spec
 from repro.core.spec.modules import load_spec
@@ -89,30 +87,38 @@ class TestSelectionEquivalence:
             assert selected == seed_reference_select(graph, source)
 
 
+def _aggregated(graph, root_id) -> dict[int, int]:
+    """The dense totals of every id reachable from the root."""
+    dense = aggregate_statement_dense(graph, root_id)
+    return {nid: int(dense[nid]) for nid in graph.reachable_ids([root_id])}
+
+
 class TestAnalysisEquivalence:
-    """The CSR graph kernels must match the dict-based kernels
-    bit-for-bit: same aggregation totals, same reachable sets, same call
-    depths — on the app graphs and on random synth programs (which
-    exercise both the vectorised DAG fast path and the Tarjan
+    """The dense analyses the selectors read must match the dict-based
+    kernels bit-for-bit: same aggregation totals, same reachable sets,
+    same call depths — on the app graphs and on random synth programs
+    (which exercise both the vectorised DAG fast path and the Tarjan
     fallback)."""
 
     def test_aggregation_totals_identical_on_app_graphs(self):
         for app, graph in _graphs():
             root_id = graph.id_of("main")
-            csr_result = aggregate_statement_ids(graph, root_id)
-            dict_result = _aggregate_statement_ids_dicts(graph, root_id)
-            assert csr_result == dict_result, app
-            assert all(type(v) is int for v in csr_result.values()), app
+            assert _aggregated(graph, root_id) == dict_aggregate_statement_ids(
+                graph, root_id
+            ), app
+            assert aggregate_statement_dense(graph, root_id).dtype == np.int64, app
 
     def test_sweeps_and_depths_identical_on_app_graphs(self):
         for app, graph in _graphs():
             root_id = graph.id_of("main")
-            assert graph.reachable_ids([root_id]) == _dict_reachable_ids(
+            assert graph.reachable_ids([root_id]) == dict_reachable_ids(
                 graph, [root_id]
             ), app
-            depths = call_depth_ids_from(graph, root_id)
+            depths = call_depth_dense(graph, root_id)
             assert depths[root_id] == 0, app
-            assert set(depths) == graph.reachable_ids([root_id]), app
+            assert set(np.flatnonzero(depths >= 0).tolist()) == graph.reachable_ids(
+                [root_id]
+            ), app
 
     @settings(
         max_examples=15,
@@ -124,9 +130,9 @@ class TestAnalysisEquivalence:
         graph = build_whole_program_cg(program)
         for root in sorted(graph.node_names()):
             root_id = graph.id_of(root)
-            assert aggregate_statement_ids(
+            assert _aggregated(graph, root_id) == dict_aggregate_statement_ids(
                 graph, root_id
-            ) == _aggregate_statement_ids_dicts(graph, root_id)
+            )
 
 
 class TestExecutionEquivalence:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cg.graph import NodeMeta
 from repro.core.pipeline import compile_spec, evaluate_pipeline
-from repro.errors import BatchMismatchError
+from repro.errors import BatchMismatchError, CallGraphError
 from repro.service import BatchEvaluator, GraphStore
 
 from tests.service.test_graph_store import SPECS, make_graph
@@ -90,7 +90,7 @@ class TestStaleness:
         graph = make_graph(seed=7)
         entry = warm_entry(graph)
         graph.add_node("late", NodeMeta(statements=1, has_body=True))
-        with pytest.raises((BatchMismatchError, RuntimeError)):
+        with pytest.raises((BatchMismatchError, CallGraphError)):
             BatchEvaluator().evaluate([compile_spec(SPECS[0])], entry)
 
 
