@@ -124,7 +124,9 @@ class PipelineBuilder:
 
     A statement whose selector DAG is more than
     :data:`~repro.core.spec.ast.MAX_SELECTOR_DEPTH` calls deep, counting
-    the calls behind its ``%name`` references, is rejected.
+    the calls behind its ``%name`` references, is rejected on the way
+    down: a hand-built :class:`~repro.core.spec.ast.SpecFile` may nest
+    deeper than the parser allows.
     """
 
     def __init__(self, registry: dict[str, Factory] | None = None):
@@ -145,8 +147,9 @@ class PipelineBuilder:
                     raise SpecSemanticError(
                         f"selector instance {stmt.name!r} redefined"
                     )
-                inner, depth = self._build_expr(stmt.expr, named, depths)
-                self._check_depth(stmt.name, depth)
+                inner, depth = self._build_expr(
+                    stmt.expr, named, depths, stmt.name
+                )
                 selector = NamedRef(stmt.name, inner)
                 key = getattr(inner, "cache_key", None)
                 if key is not None:
@@ -155,8 +158,9 @@ class PipelineBuilder:
                 depths[stmt.name] = depth
                 entry = selector
             else:
-                entry, depth = self._build_expr(stmt, named, depths)
-                self._check_depth(getattr(stmt, "selector", "entry"), depth)
+                entry, _ = self._build_expr(
+                    stmt, named, depths, getattr(stmt, "selector", "entry")
+                )
         if entry is None:
             raise SpecSemanticError("specification defines no selectors")
         return entry, named
@@ -176,18 +180,18 @@ class PipelineBuilder:
             )
         return False
 
-    @staticmethod
-    def _check_depth(name: str, depth: int) -> None:
-        if depth > MAX_SELECTOR_DEPTH:
-            raise SpecSemanticError(
-                f"selector {name!r} is {depth} calls deep, counting its "
-                f"%references; the limit is {MAX_SELECTOR_DEPTH}"
-            )
-
     def _build_expr(
-        self, expr: Expr, named: dict[str, Selector], depths: dict[str, int]
+        self,
+        expr: Expr,
+        named: dict[str, Selector],
+        depths: dict[str, int],
+        statement: str,
+        level: int = 0,
     ) -> tuple[Selector, int]:
-        """The selector for ``expr`` and its depth in selector calls."""
+        """The selector for ``expr``, ``level`` calls deep in the
+        statement named ``statement``, and its depth in selector calls.
+        A call whose level plus its deepest ``%name`` argument passes
+        the bound is refused before its arguments are built."""
         if isinstance(expr, AllExpr):
             return self._all, 0
         if isinstance(expr, RefExpr):
@@ -198,6 +202,13 @@ class PipelineBuilder:
                     f"reference to undefined selector %{expr.name}"
                 ) from None
         if isinstance(expr, CallExpr):
+            level += 1
+            refs = [depths.get(a.name, 0) for a in expr.args if isinstance(a, RefExpr)]
+            if level + max(refs, default=0) > MAX_SELECTOR_DEPTH:
+                raise SpecSemanticError(
+                    f"selector {statement!r} is more than "
+                    f"{MAX_SELECTOR_DEPTH} calls deep, counting its %references"
+                )
             factory = lookup(expr.selector, self._registry)
             args: list = []
             parts: list[str | None] = []
@@ -210,7 +221,9 @@ class PipelineBuilder:
                     args.append(arg.value)
                     parts.append(f"n{arg.value!r}")
                 else:
-                    child, child_depth = self._build_expr(arg, named, depths)
+                    child, child_depth = self._build_expr(
+                        arg, named, depths, statement, level
+                    )
                     args.append(child)
                     parts.append(getattr(child, "cache_key", None))
                     depth = max(depth, child_depth + 1)

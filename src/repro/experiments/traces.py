@@ -123,7 +123,7 @@ def compute_trace_row(
     )
     merged: MergedTrace = outcome.merged_trace
     tolerance = collective_latency(ranks)
-    trace_waits = merged.rank_wait_cycles
+    trace_waits = merged.rank_offsets
     reducer_waits = outcome.pop.rank_wait_cycles
     divergence = max(
         (abs(t - p) for t, p in zip(trace_waits, reducer_waits)), default=0.0

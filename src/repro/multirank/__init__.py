@@ -75,11 +75,11 @@ from repro.multirank.scheduler import (
 )
 from repro.multirank.tracing import (
     SYNC_OPS,
+    ClassifiedWait,
     CriticalSegment,
     MergedTimeline,
     MergedTrace,
     SyncPoint,
-    WaitInterval,
     align_blocks,
     compute_alignment,
     merge_rank_traces,
@@ -88,6 +88,7 @@ from repro.multirank.tracing import (
 )
 
 __all__ = [
+    "ClassifiedWait",
     "CriticalSegment",
     "DlbPolicy",
     "ExplicitFactors",
@@ -113,7 +114,6 @@ __all__ = [
     "SerialBackend",
     "SupervisedBackend",
     "SyncPoint",
-    "WaitInterval",
     "align_blocks",
     "apply_step",
     "build_pop_report",

@@ -359,9 +359,8 @@ class SupervisedBackend:
                         continue
                     rank, attempt, _start = pending.pop(fut)
                     try:
-                        rank_result = fut.result()
-                        check_rank_result(
-                            rank_result,
+                        rank_result = check_rank_result(
+                            fut.result(),
                             tracing=states[rank].task.settings.tracing,
                         )
                     except BrokenProcessPool:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro._util import rng_for
 from repro.errors import InjectedFaultError, RankFailedError, SimMpiError
@@ -226,8 +226,6 @@ def corrupt_result(task, result):
     Both damages are exactly what :func:`check_rank_result` screens
     for, so the supervisor retries instead of poisoning the reduction.
     """
-    from dataclasses import replace
-
     from repro.scorep.tracing import EventBlock
 
     plan: RankFaultPlan | None = task.fault
@@ -266,15 +264,35 @@ def _walk_profile(node: dict):
         stack.extend(current.get("children", ()))
 
 
-def check_rank_result(result, *, tracing: bool = False) -> None:
+def load_rank_trace(result):
+    """The result with its trace as blocks: a rank that archived its
+    trace ships only ``trace_meta``, so its location file is read in
+    here, once, by the strict reader, which raises
+    :class:`~repro.trace.store.TraceStoreError` on damage.  Any other
+    result is returned as is."""
+    from repro.trace.store import iter_location_blocks
+
+    if result.trace is not None or result.trace_meta is None:
+        return result
+    return replace(
+        result,
+        trace=tuple(iter_location_blocks(result.trace_meta.path, strict=True)),
+    )
+
+
+def check_rank_result(result, *, tracing: bool = False):
     """Reject corrupt rank payloads before they reach the reducers.
 
     Raises :class:`~repro.errors.RankFailedError` when the engine
     timings or the profile carry non-finite values, or when a requested
-    trace is missing, loses its closing ``MPI_Finalize`` marker
-    (truncation) or fails the single-stream nesting checks.  A payload
-    passing this gate is safe to merge — the reducers never see NaNs or
-    half a timeline.
+    trace is missing, unreadable, loses its closing ``MPI_Finalize``
+    marker (truncation) or fails the single-stream nesting checks.  A
+    payload passing this gate is safe to merge — the reducers never see
+    NaNs or half a timeline.
+
+    Returns the result, with a traced rank's archived trace read in
+    (:func:`load_rank_trace`): the blocks the gate walked are the ones
+    the merge takes.
     """
     timings = (
         result.result.t_init_cycles,
@@ -299,23 +317,19 @@ def check_rank_result(result, *, tracing: bool = False) -> None:
                 )
     if tracing:
         from repro.scorep.tracing import walk_stream
-        from repro.trace.store import TraceStoreError, iter_location_blocks
+        from repro.trace.store import TraceStoreError
 
-        meta = getattr(result, "trace_meta", None)
-        blocks = result.trace or ()
-        if result.trace is None and meta is not None:
-            # on-disk trace: walk the published location file under the
-            # strict (footer-checked) reader, so byte truncation — the
-            # disk flavour of the corrupt fault — fails the gate
-            blocks = iter_location_blocks(meta.path, strict=True)
         try:
-            walk = walk_stream(blocks)
+            # byte truncation — the disk flavour of the corrupt fault —
+            # fails the strict read
+            result = load_rank_trace(result)
         except TraceStoreError as exc:
             raise RankFailedError(
                 f"rank {result.rank} published an unreadable location "
                 f"file: {exc}",
                 rank=result.rank,
             ) from exc
+        walk = walk_stream(result.trace or ())
         if not walk.count:
             raise RankFailedError(
                 f"rank {result.rank} returned no event trace although "
@@ -338,6 +352,7 @@ def check_rank_result(result, *, tracing: bool = False) -> None:
                 f"trace: {problems[0]}",
                 rank=result.rank,
             )
+    return result
 
 
 # -- health records ---------------------------------------------------------

@@ -31,6 +31,7 @@ from repro.multirank.faults import (
     RankFaultPlan,
     corrupt_result,
     inject_pre_execution,
+    load_rank_trace,
 )
 from repro.multirank.imbalance import ImbalanceSpec
 from repro.multirank.reduce import (
@@ -87,7 +88,8 @@ class RankResult:
     profile: dict | None = None
     talp_regions: tuple[RegionSample, ...] = ()
     #: the rank's event-trace blocks (``tracing=True`` + scorep tool);
-    #: ``None`` when the trace went to disk instead (``trace_dir``)
+    #: ``None`` as shipped when the trace went to disk (``trace_dir``),
+    #: until the parent reads it in (``faults.load_rank_trace``)
     trace: tuple[EventBlock, ...] | None = None
     #: on-disk location summary (LocationMeta) when ``trace_dir`` was set
     trace_meta: "object | None" = None
@@ -324,11 +326,7 @@ def run_multirank(
     )
     merged_trace = None
     if tracing and trace_dir is not None:
-        from repro.trace.store import (
-            iter_location_blocks,
-            write_definitions,
-            write_health_record,
-        )
+        from repro.trace.store import write_definitions, write_health_record
 
         metaless = [r.rank for r in per_rank if r.trace_meta is None]
         if metaless:
@@ -349,12 +347,10 @@ def run_multirank(
             },
         )
         write_health_record(trace_dir, health)
-        # each published location is read once for the merge
-        blocks = [
-            list(iter_location_blocks(r.trace_meta.path, strict=True))
-            for r in per_rank
-        ]
-    elif tracing:
+    if tracing:
+        # the supervised gate read each archived trace in; without it,
+        # each is read here, once
+        per_rank = [load_rank_trace(r) for r in per_rank]
         traceless = [r.rank for r in per_rank if r.trace is None]
         if traceless:
             # unreachable today (validate_tracing guarantees a tracer on
@@ -363,10 +359,10 @@ def run_multirank(
             raise CapiError(
                 f"tracing=True but rank(s) {traceless} produced no trace"
             )
-        blocks = [r.trace for r in per_rank]
-    if tracing:
         # both kinds of world scan, align and merge the ranks' raw blocks
-        merged_trace = merge_rank_blocks(blocks, rank_ids=[r.rank for r in per_rank])
+        merged_trace = merge_rank_blocks(
+            [r.trace for r in per_rank], rank_ids=[r.rank for r in per_rank]
+        )
     return MultiRankOutcome(
         ranks=ranks,
         spec=imbalance,

@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from repro.errors import CapiError
 from repro.scorep.tracing import (
     KIND_CODE,
     EventBlock,
-    RankedTraceEvent,
     StreamWalk,
     TraceEvent,
     TraceEventKind,
@@ -75,6 +74,10 @@ from repro.simmpi.comm import SYNCHRONIZING
 #: models via ``finalize_wait``.
 SYNC_OPS = frozenset(SYNCHRONIZING | {"MPI_Init", "MPI_Finalize"})
 _MPI_CODE = KIND_CODE[TraceEventKind.MPI]
+
+#: the wait kind of a rank blocking at a synchronisation point for the
+#: latest arriver ("Wait at Barrier/NxN"), stable for CI assertions
+COLLECTIVE_IMBALANCE = "imbalance-at-collective"
 
 
 def validate_tracing(tool: str, mode: str) -> None:
@@ -113,25 +116,29 @@ class SyncPoint:
     local_cycles: tuple[float, ...]
     wait_cycles: tuple[float, ...]
 
-    @property
-    def bottleneck_rank(self) -> int:
-        """The last rank to arrive (ties: lowest rank)."""
-        return min(
-            range(len(self.wait_cycles)), key=lambda r: (self.wait_cycles[r], r)
-        )
-
 
 @dataclass(frozen=True)
-class WaitInterval:
-    """One rank blocking at one collective (Scalasca's wait-state view)."""
+class ClassifiedWait:
+    """One rank's wait interval, in aligned time (Scalasca's wait-state
+    view): at a collective (:data:`COLLECTIVE_IMBALANCE`, from the rank's
+    arrival to the collective's completion) or at a point-to-point
+    message (:func:`~repro.trace.waitstates.classify_wait_states`)."""
 
+    kind: str
+    #: the waiting rank
     rank: int
-    sync_index: int
     op: str
-    #: aligned time the rank arrived at the collective
     begin_cycles: float
-    #: aligned time the collective completed (same for all ranks)
     end_cycles: float
+    #: enclosing source region on the waiting rank (None at top level,
+    #: or when the analysis read no events)
+    region: str | None = None
+    #: peer rank for point-to-point waits
+    partner_rank: int | None = None
+    #: matched message id for point-to-point waits
+    message_id: int | None = None
+    #: sync-point index for collective waits
+    sync_index: int | None = None
 
     @property
     def wait_cycles(self) -> float:
@@ -169,7 +176,10 @@ class MergedTimeline:
     #: merges only the surviving ranks, whose lanes keep their identity
     rank_ids: tuple[int, ...]
     sync_points: list[SyncPoint]
-    #: final per-rank logical-clock offset == total synchronisation wait
+    #: final per-rank logical-clock offset == total synchronisation wait:
+    #: the trace-side counterpart of the profile reducer's
+    #: ``PopReport.rank_wait_cycles`` (``finalize_wait`` attribution);
+    #: both measure how long each rank trailed the bottleneck
     rank_offsets: tuple[float, ...]
     #: per-rank event counts (all kinds)
     events_per_rank: tuple[int, ...]
@@ -202,21 +212,6 @@ class MergedTimeline:
     # -- alignment views -------------------------------------------------------
 
     @property
-    def rank_labels(self) -> tuple[int, ...]:
-        """Rank id of each stream position."""
-        return self.rank_ids
-
-    @property
-    def rank_wait_cycles(self) -> tuple[float, ...]:
-        """Total collective wait per rank, as derived from the trace.
-
-        This is the trace-side counterpart of the profile reducer's
-        ``PopReport.rank_wait_cycles`` (``finalize_wait`` attribution):
-        both measure how long each rank trailed the bottleneck.
-        """
-        return self.rank_offsets
-
-    @property
     def elapsed_cycles(self) -> float:
         """Aligned end of the timeline (0.0 for an empty trace)."""
         return max(self.last_aligned, default=0.0)
@@ -238,34 +233,15 @@ class MergedTimeline:
         and the offending ``rank`` filled in; ``str(issue)`` keeps the
         legacy message text.
         """
-        return rank_issues(self.rank_labels, self.walks)
+        return rank_issues(self.rank_ids, self.walks)
 
     # -- analyses --------------------------------------------------------------
 
-    def wait_states(self, *, min_wait_cycles: float = 0.0) -> list[WaitInterval]:
-        """Per-rank wait intervals at collectives, largest first.
-
-        A rank arriving at a synchronisation point before the bottleneck
-        blocks until the collective completes; the interval spans from
-        its (aligned) arrival to the aligned completion.  Intervals not
-        exceeding ``min_wait_cycles`` are dropped — the bottleneck rank
-        itself never appears.  Needs the sync points only, no events.
-        """
-        labels = self.rank_labels
-        intervals = [
-            WaitInterval(
-                rank=labels[pos],
-                sync_index=sp.index,
-                op=sp.op,
-                begin_cycles=sp.aligned_cycles - wait,
-                end_cycles=sp.aligned_cycles,
-            )
-            for sp in self.sync_points
-            for pos, wait in enumerate(sp.wait_cycles)
-            if wait > min_wait_cycles
-        ]
-        intervals.sort(key=lambda w: (-w.wait_cycles, w.sync_index, w.rank))
-        return intervals
+    def wait_states(self, *, min_wait_cycles: float = 0.0) -> list[ClassifiedWait]:
+        """Per-rank wait intervals at collectives, largest first
+        (:func:`collective_waits`).  Needs the sync points only, no
+        events, so no wait names its enclosing region."""
+        return collective_waits(self, min_wait_cycles, {})
 
     def critical_path(self) -> list[CriticalSegment]:
         """Walk the critical path through the segments between collectives.
@@ -288,7 +264,6 @@ class MergedTimeline:
             return []
         windows = segment_windows(self.sync_points, self.last_aligned)
         ops = ["start", *[sp.op for sp in self.sync_points], "end"]
-        labels = self.rank_labels
         segments: list[CriticalSegment] = []
         for seg in range(len(ops) - 1):
             durations = [end - begin for begin, end in windows[seg]]
@@ -298,7 +273,7 @@ class MergedTimeline:
                     index=seg,
                     begin_op=ops[seg],
                     end_op=ops[seg + 1],
-                    rank=labels[pos],
+                    rank=self.rank_ids[pos],
                     duration_cycles=durations[pos],
                     top_region=self.walks[pos].tops[seg],
                 )
@@ -314,7 +289,7 @@ class MergedTimeline:
             f"events, {len(self.sync_points)} sync point(s)",
             "=" * 64,
         ]
-        for pos, rank in enumerate(self.rank_labels):
+        for pos, rank in enumerate(self.rank_ids):
             lines.append(
                 f"  rank {rank}: {self.events_per_rank[pos]} events, "
                 f"collective wait {self.rank_offsets[pos]:.0f} cycles"
@@ -359,7 +334,7 @@ class MergedTrace(MergedTimeline):
         return same is True and self.events == other.events
 
     @cached_property
-    def per_rank(self) -> list[list[RankedTraceEvent]]:
+    def per_rank(self) -> list[list[TraceEvent]]:
         """Per-rank aligned, rank-tagged event streams (rank order)."""
         return [
             list(ranked_events(rank, blocks))
@@ -367,9 +342,45 @@ class MergedTrace(MergedTimeline):
         ]
 
     @cached_property
-    def events(self) -> list[RankedTraceEvent]:
+    def events(self) -> list[TraceEvent]:
         """The merged stream: aligned timestamps, ordered by (time, rank)."""
         return list(merge_streams(self.per_rank))
+
+
+def collective_waits(
+    timeline: MergedTimeline,
+    min_wait_cycles: float,
+    regions: Mapping[tuple[int, float, str], "str | None"],
+) -> list[ClassifiedWait]:
+    """Each rank's wait at each synchronisation point, largest first:
+    the one derivation of collective waits.
+
+    A rank arriving at a synchronisation point before the bottleneck
+    blocks until the collective completes; the interval spans from its
+    (aligned) arrival to the aligned completion.  Intervals not
+    exceeding ``min_wait_cycles`` are dropped — the bottleneck rank
+    itself never appears.  ``regions`` names the region enclosing a
+    rank's collective marker, keyed ``(rank, aligned time, op)``: by the
+    alignment rule the marker lands exactly at the sync point's aligned
+    timestamp, so the key is exact.
+    """
+    ids = timeline.rank_ids
+    waits = [
+        ClassifiedWait(
+            kind=COLLECTIVE_IMBALANCE,
+            rank=ids[pos],
+            op=sp.op,
+            begin_cycles=sp.aligned_cycles - wait,
+            end_cycles=sp.aligned_cycles,
+            region=regions.get((ids[pos], sp.aligned_cycles, sp.op)),
+            sync_index=sp.index,
+        )
+        for sp in timeline.sync_points
+        for pos, wait in enumerate(sp.wait_cycles)
+        if wait > min_wait_cycles
+    ]
+    waits.sort(key=lambda w: (-w.wait_cycles, w.sync_index, w.rank))
+    return waits
 
 
 class StreamScan(NamedTuple):

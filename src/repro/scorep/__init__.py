@@ -5,13 +5,12 @@ from repro.scorep.measurement import ScorePMeasurement
 from repro.scorep.regions import CallTreeNode, FlatRegion, flatten
 from repro.scorep.resolution import AddressResolver
 from repro.scorep.score_tool import ScoreEntry, score_profile, suggest_filter
-from repro.scorep.tracing import ScorePTracer, TraceEvent, TraceEventKind, validate_trace
+from repro.scorep.tracing import ScorePTracer, TraceEvent, TraceEventKind
 
 __all__ = [
     "ScorePTracer",
     "TraceEvent",
     "TraceEventKind",
-    "validate_trace",
     "AddressResolver",
     "CallTreeNode",
     "FilterRule",

@@ -45,25 +45,10 @@ class TraceEvent:
     #: SPMD ring partner (see :mod:`repro.simmpi.messages`).  ``None``
     #: for non-message events.
     mid: "int | None" = None
-
-
-@dataclass(frozen=True)
-class RankedTraceEvent:
-    """One trace event tagged with its origin rank (OTF2 location).
-
-    The multi-rank merge works on these: the rank tag is what lets a
-    Vampir-style timeline keep per-rank lanes after the per-rank streams
-    are interleaved into one global event order.
-    """
-
-    rank: int
-    kind: TraceEventKind
-    region: str
-    timestamp_cycles: float
-    mid: "int | None" = None
-
-    def untagged(self) -> TraceEvent:
-        return TraceEvent(self.kind, self.region, self.timestamp_cycles, self.mid)
+    #: origin rank (OTF2 location) in a merged multi-rank view, which
+    #: keeps per-rank lanes once the streams are interleaved; ``None``
+    #: in a single rank's stream
+    rank: "int | None" = None
 
 
 #: the kinds in column form: a kind's code is its index here (the on-disk
@@ -111,19 +96,22 @@ class EventBlock(NamedTuple):
 
     @classmethod
     def from_events(cls, events: Iterable[TraceEvent]) -> "EventBlock":
+        """A block of event objects.  A message id must be ``None`` or
+        at least 0: -1 is "none" in column form."""
         ids: dict[str, int] = {}
-        return cls.from_rows(
-            [
+        rows = []
+        for ev in events:
+            if ev.mid is not None and ev.mid < 0:
+                raise CapiError(f"message id must be >= 0, got {ev.mid}")
+            rows.append(
                 (
                     KIND_CODE[ev.kind],
                     ids.setdefault(ev.region, len(ids)),
                     ev.timestamp_cycles,
                     -1 if ev.mid is None else ev.mid,
                 )
-                for ev in events
-            ],
-            ids,
-        )
+            )
+        return cls.from_rows(rows, ids)
 
     def rows(self) -> Iterator[tuple[TraceEventKind, str, float, "int | None"]]:
         """Each event's ``(kind, region, timestamp, mid)`` as plain values."""
@@ -134,8 +122,9 @@ class EventBlock(NamedTuple):
         ):
             yield kinds[k], names[r], t, None if m < 0 else m
 
-    def events(self) -> Iterator[TraceEvent]:
-        return (TraceEvent(*row) for row in self.rows())
+    def events(self, rank: "int | None" = None) -> Iterator[TraceEvent]:
+        """The block's events as objects, tagged with ``rank``."""
+        return (TraceEvent(*row, rank) for row in self.rows())
 
     def __eq__(self, other: object) -> bool:
         """Column by column, plus the names; tuple equality would ask an
@@ -153,18 +142,15 @@ class EventBlock(NamedTuple):
         return equal if equal is NotImplemented else not equal
 
 
-def ranked_events(
-    rank: int, blocks: Iterable[EventBlock]
-) -> Iterator[RankedTraceEvent]:
+def ranked_events(rank: int, blocks: Iterable[EventBlock]) -> Iterator[TraceEvent]:
     """A rank's blocks as events tagged with ``rank``."""
     for block in blocks:
-        for row in block.rows():
-            yield RankedTraceEvent(rank, *row)
+        yield from block.events(rank)
 
 
 def merge_streams(
-    streams: Iterable[Iterable[RankedTraceEvent]],
-) -> Iterator[RankedTraceEvent]:
+    streams: Iterable[Iterable[TraceEvent]],
+) -> Iterator[TraceEvent]:
     """Interleave per-rank streams into one globally ordered timeline.
 
     Each input stream must be timestamp-monotone (which per-rank tracer
@@ -572,9 +558,3 @@ class _Walk:
             self.last_t if self.count else 0.0,
             self.max_t,
         )
-
-
-def validate_trace(events: Iterable[TraceEvent]) -> list[TraceIssue]:
-    """Consistency checks a trace analyser would run: the defect
-    records of :func:`walk_stream`."""
-    return walk_stream([EventBlock.from_events(events)]).issues

@@ -132,15 +132,6 @@ class TraceWriter:
         self.flushes = 0
         self.closed = False
 
-    def write_events(self, events: Iterable[TraceEvent]) -> None:
-        """Write an event list as one block (the event-list entry)."""
-        events = list(events)
-        for event in events:
-            if event.mid is not None and event.mid < 0:
-                # -1 is "none" in column form: reject it before the block
-                raise TraceStoreError(f"message id must be >= 0, got {event.mid}")
-        self.flush(EventBlock.from_events(events))
-
     def flush(self, block: EventBlock) -> None:
         """Write one block: map its names to file ids, define the names
         the file has not seen (in order of first use), check the records,

@@ -39,7 +39,7 @@ from repro.multirank.tracing import (
 )
 from repro.scorep.tracing import (
     EventBlock,
-    RankedTraceEvent,
+    TraceEvent,
     merge_streams,
     ranked_events,
 )
@@ -84,7 +84,7 @@ class StreamingTrace(MergedTimeline):
             self.schedule[pos],
         )
 
-    def events(self) -> Iterator[RankedTraceEvent]:
+    def events(self) -> Iterator[TraceEvent]:
         """The merged global timeline, streamed in ``(t, rank)`` order."""
         return merge_streams(
             [

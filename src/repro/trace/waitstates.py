@@ -23,42 +23,20 @@ memory or on disk, reading the MPI markers of its per-rank walks
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
+from repro.multirank.tracing import (
+    COLLECTIVE_IMBALANCE,
+    ClassifiedWait,
+    MergedTimeline,
+    collective_waits,
+)
 from repro.simmpi.messages import RECV_OPS, SEND_OPS, ring_partner
 
-if TYPE_CHECKING:
-    from repro.multirank.tracing import MergedTimeline
-
-#: classification kinds, stable for CI assertions
+#: classification kinds, stable for CI assertions (the third,
+#: COLLECTIVE_IMBALANCE, is the alignment's own, imported above)
 LATE_SENDER = "late-sender"
 LATE_RECEIVER = "late-receiver"
-COLLECTIVE_IMBALANCE = "imbalance-at-collective"
-
-
-@dataclass(frozen=True)
-class ClassifiedWait:
-    """One classified wait interval, in aligned time."""
-
-    kind: str
-    #: the waiting rank
-    rank: int
-    op: str
-    begin_cycles: float
-    end_cycles: float
-    #: enclosing source region on the waiting rank (None at top level)
-    region: str | None = None
-    #: peer rank for point-to-point waits
-    partner_rank: int | None = None
-    #: matched message id for point-to-point waits
-    message_id: int | None = None
-    #: sync-point index for collective waits
-    sync_index: int | None = None
-
-    @property
-    def wait_cycles(self) -> float:
-        return self.end_cycles - self.begin_cycles
 
 
 def classify_wait_states(
@@ -71,23 +49,23 @@ def classify_wait_states(
 
     ``world_ranks`` names the original world size for degraded runs so
     ring partners resolve to true rank ids; defaults to
-    ``max(rank_labels) + 1``.
+    ``max(rank_ids) + 1``.
 
     Sends and receives are keyed ``(rank, message id)``, every other
-    marker ``(rank, aligned time, op)``: by the alignment rule a rank's
-    anchor event lands exactly at the sync point's aligned timestamp,
-    so the key of a collective wait is exact, not fuzzy.
+    marker ``(rank, aligned time, op)``, the key under which
+    :func:`~repro.multirank.tracing.collective_waits` looks up the
+    region of each collective wait.
     """
-    labels = tuple(trace.rank_labels)
+    ids = trace.rank_ids
     if world_ranks is None:
-        world_ranks = (max(labels) + 1) if labels else 0
-    present = set(labels)
+        world_ranks = (max(ids) + 1) if ids else 0
+    present = set(ids)
 
     # (op, aligned time, mid, enclosing region) marker per key
     sends_by_key: dict[tuple[int, int], tuple] = {}
     recvs_by_key: dict[tuple[int, int], tuple] = {}
     sync_regions: dict[tuple[int, float, str], str | None] = {}
-    for rank, walk in zip(labels, trace.walks):
+    for rank, walk in zip(ids, trace.walks):
         for marker in walk.markers:
             op, t, mid, region = marker
             if mid is not None and op in SEND_OPS:
@@ -97,21 +75,8 @@ def classify_wait_states(
             else:
                 sync_regions[(rank, t, op)] = region
 
-    waits: list[ClassifiedWait] = []
-
     # collective imbalance: straight from the alignment sync points
-    for w in trace.wait_states(min_wait_cycles=min_wait_cycles):
-        waits.append(
-            ClassifiedWait(
-                kind=COLLECTIVE_IMBALANCE,
-                rank=w.rank,
-                op=w.op,
-                begin_cycles=w.begin_cycles,
-                end_cycles=w.end_cycles,
-                region=sync_regions.get((w.rank, w.end_cycles, w.op)),
-                sync_index=w.sync_index,
-            )
-        )
+    waits = collective_waits(trace, min_wait_cycles, sync_regions)
 
     # point-to-point: pair recv k on rank r with send k on its ring
     # neighbour; whoever acted first waits for the other

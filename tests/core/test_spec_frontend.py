@@ -10,6 +10,7 @@ from repro.core.spec.ast import (
     CallExpr,
     NumLit,
     RefExpr,
+    SpecFile,
     StrLit,
 )
 from repro.core.spec.lexer import tokenize
@@ -188,6 +189,16 @@ class TestDepthBound:
             "%%", f"%a{half}", 1
         )
         with pytest.raises(SpecSemanticError, match="'join'"):
+            compile_spec(spec)
+
+    def test_hand_built_spec_past_the_recursion_limit(self):
+        """A spec built without the parser may nest deeper than the
+        interpreter can recurse; the builder refuses it on the way down."""
+        expr = AllExpr()
+        for _ in range(5000):
+            expr = CallExpr("join", (expr, AllExpr()))
+        spec = SpecFile(statements=[Assign("deep", expr)])
+        with pytest.raises(SpecSemanticError, match="'deep'"):
             compile_spec(spec)
 
 

@@ -282,7 +282,7 @@ class TestDegradation:
             backend=_supervised("serial"), faults=LOST, degraded="allow",
         )
         assert out.merged_trace is not None
-        assert out.merged_trace.rank_labels == tuple(
+        assert out.merged_trace.rank_ids == tuple(
             r.rank for r in out.per_rank
         )
         assert out.merged_trace.validate() == []

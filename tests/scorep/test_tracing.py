@@ -6,11 +6,11 @@ from repro.execution.clock import VirtualClock
 from repro.scorep.tracing import (
     BLOCK_EVENTS,
     EventBlock,
-    RankedTraceEvent,
     ScorePTracer,
+    TraceEvent,
     TraceEventKind,
     merge_streams,
-    validate_trace,
+    walk_stream,
 )
 from repro.trace import TraceWriter, load_location
 
@@ -118,12 +118,12 @@ class TestValidation:
         tracer.enter("b")
         tracer.leave("b")
         tracer.leave("a")
-        assert validate_trace(tracer.all_events()) == []
+        assert walk_stream([EventBlock.from_events(tracer.all_events())]).issues == []
 
     def test_unbalanced_leave_detected(self, tracer):
         tracer.enter("a")
         tracer.leave("b")
-        problems = validate_trace(tracer.all_events())
+        problems = walk_stream([EventBlock.from_events(tracer.all_events())]).issues
         codes = {p.code for p in problems}
         assert any(code.startswith("unbalanced-leave") for code in codes)
         assert "unclosed-region" in codes
@@ -139,7 +139,7 @@ class TestValidation:
         for i in range(5):  # clean traffic after the defect
             tracer.enter(f"r{i}")
             tracer.leave(f"r{i}")
-        problems = validate_trace(tracer.all_events())
+        problems = walk_stream([EventBlock.from_events(tracer.all_events())]).issues
         assert len(problems) == 1
         assert problems[0].code == "unbalanced-leave-resync"
         assert problems[0].region == "main"
@@ -153,7 +153,7 @@ class TestValidation:
         tracer.enter("kernel")
         tracer.leave("kernel")
         tracer.leave("main")
-        problems = validate_trace(tracer.all_events())
+        problems = walk_stream([EventBlock.from_events(tracer.all_events())]).issues
         assert [str(p) for p in problems] == ["unbalanced LEAVE ghost"]
         assert problems[0].code == "unbalanced-leave"
         assert problems[0].rank is None
@@ -161,7 +161,7 @@ class TestValidation:
     def test_each_unclosed_region_reported_once(self, tracer):
         tracer.enter("a")
         tracer.enter("b")
-        problems = validate_trace(tracer.all_events())
+        problems = walk_stream([EventBlock.from_events(tracer.all_events())]).issues
         assert sorted(str(p) for p in problems) == [
             "unclosed region a",
             "unclosed region b",
@@ -171,23 +171,23 @@ class TestValidation:
 
 class TestRankTaggedStreams:
     def test_merge_streams_orders_by_time_then_rank(self):
-        a = [RankedTraceEvent(0, TraceEventKind.ENTER, "x", 1.0),
-             RankedTraceEvent(0, TraceEventKind.LEAVE, "x", 5.0)]
-        b = [RankedTraceEvent(1, TraceEventKind.ENTER, "y", 1.0),
-             RankedTraceEvent(1, TraceEventKind.LEAVE, "y", 3.0)]
+        a = [TraceEvent(TraceEventKind.ENTER, "x", 1.0, rank=0),
+             TraceEvent(TraceEventKind.LEAVE, "x", 5.0, rank=0)]
+        b = [TraceEvent(TraceEventKind.ENTER, "y", 1.0, rank=1),
+             TraceEvent(TraceEventKind.LEAVE, "y", 3.0, rank=1)]
         merged = list(merge_streams([a, b]))
         assert [(ev.timestamp_cycles, ev.rank) for ev in merged] == [
             (1.0, 0), (1.0, 1), (3.0, 1), (5.0, 0),
         ]
 
     def test_merge_streams_is_input_order_invariant(self):
-        a = [RankedTraceEvent(0, TraceEventKind.ENTER, "x", 2.0)]
-        b = [RankedTraceEvent(1, TraceEventKind.ENTER, "y", 1.0)]
+        a = [TraceEvent(TraceEventKind.ENTER, "x", 2.0, rank=0)]
+        b = [TraceEvent(TraceEventKind.ENTER, "y", 1.0, rank=1)]
         assert list(merge_streams([a, b])) == list(merge_streams([b, a]))
 
     def test_ranked_event_is_hashable_value_object(self):
-        ev = RankedTraceEvent(0, TraceEventKind.MPI, "MPI_Barrier", 7.0)
-        assert ev == RankedTraceEvent(0, TraceEventKind.MPI, "MPI_Barrier", 7.0)
+        ev = TraceEvent(TraceEventKind.MPI, "MPI_Barrier", 7.0, rank=0)
+        assert ev == TraceEvent(TraceEventKind.MPI, "MPI_Barrier", 7.0, rank=0)
         assert hash(ev) == hash(
-            RankedTraceEvent(0, TraceEventKind.MPI, "MPI_Barrier", 7.0)
+            TraceEvent(TraceEventKind.MPI, "MPI_Barrier", 7.0, rank=0)
         )

@@ -150,7 +150,7 @@ class TestRunAppModes:
         assert a.result.entry_events == b.result.entry_events
 
     def test_tracing_mode(self, demo_app, demo_ic):
-        from repro.scorep.tracing import TraceEventKind, validate_trace
+        from repro.scorep.tracing import EventBlock, TraceEventKind, walk_stream
 
         out = run_app(
             demo_app, mode="ic", tool="scorep", ic=demo_ic, workload=WL,
@@ -163,7 +163,8 @@ class TestRunAppModes:
         assert TraceEventKind.ENTER in kinds
         assert TraceEventKind.MPI in kinds
         # traces of instrumented runs are well-formed
-        assert validate_trace([e for e in events if e.kind is not TraceEventKind.MPI]) == []
+        enter_leave = [e for e in events if e.kind is not TraceEventKind.MPI]
+        assert walk_stream([EventBlock.from_events(enter_leave)]).issues == []
         # tracing costs extra time over plain profiling
         plain = run_app(
             demo_app, mode="ic", tool="scorep", ic=demo_ic, workload=WL

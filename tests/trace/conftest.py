@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.scorep.tracing import TraceEvent, TraceEventKind
+from repro.scorep.tracing import EventBlock, TraceEvent, TraceEventKind
 from repro.trace import TraceWriter, write_definitions
 
 E, L, M = TraceEventKind.ENTER, TraceEventKind.LEAVE, TraceEventKind.MPI
@@ -29,7 +29,8 @@ def write_archive(
     for rank, events in sorted(streams.items()):
         writer = TraceWriter(trace_dir, rank)
         for start in range(0, len(events), buffer_events):
-            writer.write_events(events[start : start + buffer_events])
+            block = EventBlock.from_events(events[start : start + buffer_events])
+            writer.flush(block)
         metas.append(writer.close())
     if definitions:
         write_definitions(

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.errors import CapiError
 from repro.execution.clock import VirtualClock
+from repro.multirank import merge_rank_traces
 from repro.multirank.faults import HealthReport, RankHealth
 from repro.scorep.tracing import EventBlock, ScorePTracer, TraceEventKind
 from repro.trace import (
@@ -47,7 +49,7 @@ class TestWriterRoundTrip:
     def test_events_read_back_bit_identical(self, tmp_path):
         events = sample_events(20)
         writer = TraceWriter(tmp_path, 0)
-        writer.write_events(events)
+        writer.flush(EventBlock.from_events(events))
         meta = writer.close()
         assert meta.rank == 0
         assert meta.events == 20
@@ -61,7 +63,7 @@ class TestWriterRoundTrip:
             ev(L, "a", 2**53 - 1.0),
         ]
         writer = TraceWriter(tmp_path, 3)
-        writer.write_events(events)
+        writer.flush(EventBlock.from_events(events))
         writer.close()
         loaded = load_location(tmp_path, 3)
         assert [e.timestamp_cycles for e in loaded] == [
@@ -75,7 +77,7 @@ class TestWriterRoundTrip:
             ev(M, "MPI_Allreduce", 7.0),
         ]
         writer = TraceWriter(tmp_path, 0)
-        writer.write_events(events)
+        writer.flush(EventBlock.from_events(events))
         writer.close()
         loaded = load_location(tmp_path, 0)
         assert [e.mid for e in loaded] == [0, 0, None]
@@ -86,7 +88,7 @@ class TestWriterRoundTrip:
         events = sample_events(100)
         writer = TraceWriter(tmp_path, 1)
         for start in range(0, len(events), 7):
-            writer.write_events(events[start : start + 7])
+            writer.flush(EventBlock.from_events(events[start : start + 7]))
         meta = writer.close()
         assert meta.flushes > 3
         assert load_location(tmp_path, 1) == events
@@ -94,7 +96,9 @@ class TestWriterRoundTrip:
     def test_regions_interned_once(self, tmp_path):
         writer = TraceWriter(tmp_path, 0)
         for _ in range(5):
-            writer.write_events([ev(E, "hot", 1.0), ev(L, "hot", 2.0)])
+            writer.flush(
+                EventBlock.from_events([ev(E, "hot", 1.0), ev(L, "hot", 2.0)])
+            )
         meta = writer.close()
         assert meta.regions == ("hot",)
         data = location_path(tmp_path, 0).read_bytes()
@@ -120,11 +124,11 @@ class TestWriterRoundTrip:
         writer = TraceWriter(tmp_path, 0)
         writer.close()
         with pytest.raises(TraceStoreError, match="already closed"):
-            writer.write_events([ev(E, "a", 1.0)])
+            writer.flush(EventBlock.from_events([ev(E, "a", 1.0)]))
 
     def test_abort_publishes_nothing(self, tmp_path):
         writer = TraceWriter(tmp_path, 4)
-        writer.write_events([ev(E, "a", 1.0)])
+        writer.flush(EventBlock.from_events([ev(E, "a", 1.0)]))
         writer.abort()
         assert not location_path(tmp_path, 4).exists()
         assert discover_ranks(tmp_path) == []
@@ -139,7 +143,7 @@ class TestWriterRoundTrip:
 class TestTruncationDetection:
     def _published(self, tmp_path, n=30):
         writer = TraceWriter(tmp_path, 0)
-        writer.write_events(sample_events(n))
+        writer.flush(EventBlock.from_events(sample_events(n)))
         writer.close()
         return location_path(tmp_path, 0)
 
@@ -196,7 +200,7 @@ class TestDefinitions:
         metas = []
         for rank in (0, 1):
             w = TraceWriter(tmp_path, rank)
-            w.write_events(sample_events(6))
+            w.flush(EventBlock.from_events(sample_events(6)))
             metas.append(w.close())
         write_definitions(
             tmp_path, world_ranks=2, locations=metas, frequency=2.5e9,
@@ -253,7 +257,7 @@ class TestBinaryLayout:
 
     def _published(self, tmp_path, events):
         writer = TraceWriter(tmp_path, 0)
-        writer.write_events(events)
+        writer.flush(EventBlock.from_events(events))
         writer.close()
         return location_path(tmp_path, 0)
 
@@ -310,11 +314,15 @@ class TestBinaryLayout:
         with pytest.raises(TraceStoreError, match="event 1: bad record"):
             load_location(tmp_path, 0)
 
-    def test_writer_rejects_negative_mid(self, tmp_path):
-        writer = TraceWriter(tmp_path, 0)
-        with pytest.raises(TraceStoreError, match="message id"):
-            writer.write_events([ev(M, "MPI_Isend", 1.0, mid=-1)])
-        writer.abort()
+    def test_event_lists_reject_negative_mid(self):
+        """-1 is "none" in column form, so the one place an event list
+        becomes columns refuses it instead of merging or writing it as
+        no message id."""
+        events = [ev(M, "MPI_Isend", 1.0, mid=-1)]
+        with pytest.raises(CapiError, match="message id"):
+            EventBlock.from_events(events)
+        with pytest.raises(CapiError, match="message id"):
+            merge_rank_traces([events])
 
     @pytest.mark.parametrize(
         "column, value", [("kind", 3), ("region", 1), ("mid", -2)]
@@ -330,7 +338,7 @@ class TestBinaryLayout:
     def test_writer_rejects_overlong_name(self, tmp_path):
         writer = TraceWriter(tmp_path, 0)
         with pytest.raises(TraceStoreError, match="exceeds"):
-            writer.write_events([ev(E, "x" * 70_000, 1.0)])
+            writer.flush(EventBlock.from_events([ev(E, "x" * 70_000, 1.0)]))
         writer.abort()
 
     def test_blocks_follow_flushes(self, tmp_path):
@@ -338,7 +346,7 @@ class TestBinaryLayout:
         events = sample_events(20)
         writer = TraceWriter(tmp_path, 0)
         for start in range(0, len(events), 6):
-            writer.write_events(events[start : start + 6])
+            writer.flush(EventBlock.from_events(events[start : start + 6]))
         meta = writer.close()
         blocks = list(iter_location_blocks(location_path(tmp_path, 0)))
         assert [len(b.t) for b in blocks] == [6, 6, 6, 2]
@@ -368,7 +376,9 @@ class TestMalformedRecords:
         from repro.trace import open_merged_trace, scan_run
 
         writer = TraceWriter(tmp_path, 0)
-        writer.write_events([ev(M, "MPI_Init", 1.0), ev(M, "MPI_Finalize", 2.0)])
+        writer.flush(
+            EventBlock.from_events([ev(M, "MPI_Init", 1.0), ev(M, "MPI_Finalize", 2.0)])
+        )
         writer.close()
         (tmp_path / "definitions.json").write_text(
             json.dumps({"format_version": FORMAT_VERSION})

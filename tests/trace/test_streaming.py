@@ -50,8 +50,7 @@ def assert_equivalent(streamed, merged):
     assert list(streamed.events()) == list(merged.events)
     assert streamed.sync_points == merged.sync_points
     assert streamed.rank_offsets == merged.rank_offsets
-    assert streamed.rank_labels == merged.rank_labels
-    assert streamed.rank_wait_cycles == merged.rank_wait_cycles
+    assert streamed.rank_ids == merged.rank_ids
     assert streamed.wait_states() == merged.wait_states()
     assert streamed.critical_path() == merged.critical_path()
     assert streamed.validate() == merged.validate()

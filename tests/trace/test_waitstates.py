@@ -1,6 +1,13 @@
 """Wait-state classification: the Scalasca taxonomy on merged traces."""
 
-from repro.multirank import merge_rank_traces
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.multirank import MergedTimeline, merge_rank_traces
 from repro.simmpi.messages import (
     RECV_OPS,
     SEND_OPS,
@@ -20,6 +27,7 @@ from repro.trace.waitstates import (
     LATE_SENDER,
 )
 from tests.trace.conftest import E, L, M, ev, write_archive
+from tests.trace.test_walk import worlds
 
 
 class TestRingPairing:
@@ -66,6 +74,45 @@ class TestCollectiveImbalance:
         top = classify_wait_states(merged)[0]
         assert top.kind == COLLECTIVE_IMBALANCE
         assert top.region == "solve"
+
+    @settings(max_examples=60, deadline=None)
+    @given(world=worlds(), min_wait=st.sampled_from([0.0, 0.2, 1.0]))
+    def test_collective_entries_are_the_wait_states(self, world, min_wait):
+        """On random archives of a possibly degraded rank set, the
+        classification's collective waits are ``wait_states()`` record
+        for record with only the region filled in, and both name each
+        rank by id, on its own lane of the sync point."""
+        streams, ids, world_ranks = world
+        with tempfile.TemporaryDirectory() as td:
+            write_archive(Path(td), dict(zip(ids, streams)), world_ranks=world_ranks)
+            trace = open_merged_trace(td)
+            waits = trace.wait_states(min_wait_cycles=min_wait)
+            classified = classify_wait_states(
+                trace, min_wait_cycles=min_wait, world_ranks=world_ranks
+            )
+        collective = sorted(
+            (w for w in classified if w.kind == COLLECTIVE_IMBALANCE),
+            key=lambda w: (-w.wait_cycles, w.sync_index, w.rank),
+        )
+        assert [replace(w, region=None) for w in collective] == waits
+        for w in waits:
+            assert w.kind == COLLECTIVE_IMBALANCE and w.region is None
+            sp = trace.sync_points[w.sync_index]
+            lane = trace.rank_ids.index(w.rank)
+            assert w.begin_cycles == sp.aligned_cycles - sp.wait_cycles[lane]
+
+    def test_collective_waits_derived_once(self, monkeypatch):
+        """The classification derives the collective waits with their
+        regions; it does not call ``wait_states()`` and wrap them."""
+        fast = [ev(M, "MPI_Allreduce", 20), ev(M, "MPI_Finalize", 30)]
+        slow = [ev(M, "MPI_Allreduce", 50), ev(M, "MPI_Finalize", 60)]
+        merged = merge_rank_traces([fast, slow])
+
+        def refused(self, **_):
+            raise AssertionError("wait_states() called")
+
+        monkeypatch.setattr(MergedTimeline, "wait_states", refused)
+        assert classify_wait_states(merged)[0].kind == COLLECTIVE_IMBALANCE
 
 
 class TestP2PClassification:

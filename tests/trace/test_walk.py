@@ -34,7 +34,6 @@ from repro.multirank.tracing import (
 from repro.scorep import tracing
 from repro.scorep.tracing import (
     EventBlock,
-    RankedTraceEvent,
     TraceEvent,
     TraceEventKind,
     TraceIssue,
@@ -205,7 +204,7 @@ def ref_validate(trace):
         *ref_validate_merge_order(trace.events),
         *(
             replace(issue, rank=rank, detail=f"rank {rank}: {issue.detail}")
-            for pos, rank in enumerate(trace.rank_labels)
+            for pos, rank in enumerate(trace.rank_ids)
             for issue in ref_validate_trace(rank_events(trace, pos))
         ),
     ]
@@ -231,7 +230,7 @@ def ref_critical_path(trace):
                 index=seg,
                 begin_op=ops[seg],
                 end_op=ops[seg + 1],
-                rank=trace.rank_labels[pos],
+                rank=trace.rank_ids[pos],
                 duration_cycles=durations[pos],
                 top_region=tops[pos][seg],
             )
@@ -240,7 +239,7 @@ def ref_critical_path(trace):
 
 
 def ref_classify(trace, min_wait_cycles, world_ranks):
-    labels = tuple(trace.rank_labels)
+    labels = trace.rank_ids
     present = set(labels)
     sends_by_key, recvs_by_key, sync_regions = {}, {}, {}
     for pos, rank in enumerate(labels):
@@ -542,7 +541,7 @@ def opened(monkeypatch):
 @pytest.fixture
 def built(monkeypatch):
     """How many event objects of each class are built, in this process."""
-    counts = {TraceEvent: 0, RankedTraceEvent: 0}
+    counts = {TraceEvent: 0}
     for cls in counts:
 
         def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
@@ -553,9 +552,9 @@ def built(monkeypatch):
     return counts
 
 
-def traced_world(trace_dir=None):
-    """A traced 8-rank world on the supervised backend, archived in
-    ``trace_dir`` (or kept in memory without one)."""
+def traced_world(trace_dir=None, backend="supervised"):
+    """A traced 8-rank world on the supervised backend (or ``backend``),
+    archived in ``trace_dir`` (or kept in memory without one)."""
     return run_app(
         build_app(make_demo_builder().build()),
         mode="ic",
@@ -566,7 +565,7 @@ def traced_world(trace_dir=None):
         imbalance=ImbalanceSpec(imbalance=0.3, seed=7),
         tracing=True,
         trace_dir=None if trace_dir is None else str(trace_dir),
-        backend="supervised",
+        backend=backend,
     )
 
 
@@ -580,14 +579,15 @@ class TestReadsPerPostMortem:
         assert sorted(opened) == [location_path(tmp_path, r) for r in sorted(streams)]
 
     def test_traced_world_and_post_mortem_reads(self, tmp_path, opened):
-        """A traced 8-rank world reads each location twice: the rank
-        gate's walk and the in-world merge.  Its post-mortem (open,
-        validate, wait states, critical path, classification, watchdog)
-        reads each three times: the open's scan, the analyses' walk and
-        the watchdog's walk."""
-        traced_world(tmp_path)
+        """A traced 8-rank world reads each location once: the rank gate
+        reads it in, walks it and hands the blocks to the in-world merge.
+        Its post-mortem (open, validate, wait states, critical path,
+        classification, watchdog) reads each three times: the open's
+        scan, the analyses' walk and the watchdog's walk."""
+        out = traced_world(tmp_path)
         locations = [location_path(tmp_path, r) for r in range(8)]
-        assert sorted(opened) == sorted(locations * 2)
+        assert sorted(opened) == locations
+        assert all(r.trace for r in out.multirank.per_rank)
         opened.clear()
         trace = open_merged_trace(tmp_path)
         assert trace.validate() == []
@@ -596,6 +596,15 @@ class TestReadsPerPostMortem:
         classify_wait_states(trace)
         assert scan_run(tmp_path) == []
         assert sorted(opened) == sorted(locations * 3)
+
+    def test_unsupervised_and_in_memory_world_reads(self, tmp_path, opened):
+        """Without the gate, ``run_multirank`` reads each published
+        location once for the merge; a world kept in memory reads none."""
+        traced_world(tmp_path, backend="serial")
+        assert sorted(opened) == [location_path(tmp_path, r) for r in range(8)]
+        opened.clear()
+        traced_world()
+        assert opened == []
 
     def test_analyses_open_each_location_once(self, tmp_path, monkeypatch):
         """After the open's alignment scan, ``validate``, ``critical_path``
@@ -634,7 +643,7 @@ class TestReadsPerPostMortem:
         classify_wait_states(trace)
         assert scan_run(tmp_path) == []
         assert recorded > 0
-        assert built == {TraceEvent: 0, RankedTraceEvent: 0}
+        assert built == {TraceEvent: 0}
 
     def test_in_memory_world_and_its_analyses_build_no_event_objects(self, built):
         """Without an archive the ranks ship their blocks, and the rank
@@ -645,4 +654,4 @@ class TestReadsPerPostMortem:
         trace.wait_states()
         assert trace.critical_path()
         classify_wait_states(trace)
-        assert built == {TraceEvent: 0, RankedTraceEvent: 0}
+        assert built == {TraceEvent: 0}
