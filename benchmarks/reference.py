@@ -5,7 +5,10 @@ Nothing under ``src/`` imports this module.  The tests import it as
 path), and ``bench_selection_scale.py`` times the product against it:
 
 * the seed's string-keyed selection (:class:`SeedGraph`,
-  :func:`seed_reference_select`) and its per-call execution mode
+  :func:`seed_reference_select`);
+* the engine's frame walker (:func:`reference_run`), which walks the
+  call tree on every run where the engine replays its walk tape, and
+  the seed's per-call execution mode built on it
   (:func:`seed_execution_mode`, :func:`defeat_memoization`);
 * the pre-CSR dict/set graph kernels (``dict_*``) and :func:`condense`,
   a sweep-or-Tarjan condensation over a CSR snapshot: the CSR kernels
@@ -26,7 +29,9 @@ from repro.cg.csr import INDEX_DTYPE, CsrSnapshot, sweep, tarjan_scc
 from repro.cg.graph import CallGraph
 from repro.core.spec.ast import AllExpr, Assign, CallExpr, RefExpr
 from repro.core.spec.modules import load_spec
+from repro.errors import ExecutionError
 from repro.execution.engine import ExecutionEngine
+from repro.execution.result import RunResult
 
 
 # -- seed-reference selection -------------------------------------------------------
@@ -189,7 +194,155 @@ def seed_reference_select(graph: CallGraph, spec_source: str) -> frozenset[str]:
     return frozenset(result)
 
 
-# -- seed-reference engine mode ---------------------------------------------------
+# -- the reference walk and the seed engine mode -------------------------------------
+#
+# The engine's frame walker before the walk tape: it walks the call tree
+# on every run, one ``_Frame`` per open invocation, and fires every sled
+# through ``XRayRuntime.fire_sled``.  The tape's replay must reproduce
+# it field for field.
+
+
+class _Frame:
+    """One open function invocation on the explicit walk stack."""
+
+    __slots__ = ("rec", "child_depth", "sites", "si", "site", "i", "walked", "charged")
+
+    def __init__(self, rec, child_depth: int, sites: list):
+        self.rec = rec
+        self.child_depth = child_depth
+        #: sites to process (empty when the frame sits at the depth cap)
+        self.sites = sites
+        self.si = 0
+        #: the site currently being expanded (None: fetch the next one)
+        self.site = None
+        self.i = 0
+        self.walked = 0
+        self.charged = 0
+
+
+_NO_SITES: list = []
+
+
+def reference_run(engine: ExecutionEngine, *, config_name: str = "") -> RunResult:
+    """``engine.run()`` through the frame walker: the same result, the
+    same clock additions and the same tool calls, in the same order."""
+    if engine._result is not None:
+        raise ExecutionError("engine instances are single-use")
+    result = RunResult(
+        app_name=engine._program.name, tool=engine.tool, config_name=config_name
+    )
+    engine._result = result
+    start = engine.clock.now()
+    if engine.workload.root_scale != 1.0:
+        engine._check_root_scale()
+    for name in engine._tables.initializers:
+        _execute(engine, name, depth=0)
+    entry = engine._program.entry
+    if entry not in engine._functions:
+        raise ExecutionError(f"entry function {entry!r} was not emitted")
+    _execute(engine, entry, depth=0)
+    result.t_app_cycles = engine.clock.now() - start
+    if engine.pmpi is not None:
+        result.mpi_calls += engine.pmpi.world.mpi_calls
+        result.mpi_cycles += engine.pmpi.world.mpi_cycles
+    if engine.xray_runtime is not None:
+        result.patched_functions = engine.xray_runtime.patched_count()
+        result.patched_sleds = engine.xray_runtime.patcher.stats.patched
+    return result
+
+
+def _enter(engine: ExecutionEngine, name: str, depth: int) -> _Frame | None:
+    """Process one function entry; returns the frame to descend into.
+
+    MPI stubs and fully-inlined targets are handled in place and
+    yield no frame.
+    """
+    rec = engine._record_of(name)
+    if rec is None:
+        return None
+    result = engine._result
+    assert result is not None
+    if rec.is_mpi:
+        _mpi_call(engine, rec.mf)
+        return None
+    result.entry_events += 1
+    calls = result.per_function_calls
+    calls[name] = calls.get(name, 0) + 1
+    _fire_sled(engine, rec, entry=True)
+    base_cost = rec.base_cost
+    engine.clock.advance(base_cost)
+    result.useful_cycles += base_cost
+    sites = rec.sites if depth < engine.workload.max_depth else _NO_SITES
+    return _Frame(rec, depth + 1, sites)
+
+
+def _execute(engine: ExecutionEngine, name: str, depth: int) -> None:
+    """Walk one call tree with an explicit frame stack (no recursion).
+
+    Each site's budget split is decided when the walk first reaches the
+    site, its walked repetitions descend in order, and the analytic
+    residual is charged after the last one.
+    """
+    result = engine._result
+    assert result is not None
+    event_budget = engine.workload.event_budget
+    frame = _enter(engine, name, depth)
+    if frame is None:
+        return
+    stack = [frame]
+    while stack:
+        frame = stack[-1]
+        site = frame.site
+        if site is None:
+            if frame.si < len(frame.sites):
+                site = frame.sites[frame.si]
+                frame.si += 1
+                walked = site.walked
+                charged = site.charged
+                if result.entry_events >= event_budget:
+                    charged += walked
+                    walked = 0
+                frame.site = site
+                frame.walked = walked
+                frame.charged = charged
+                frame.i = 0
+                continue
+            result.exit_events += 1
+            _fire_sled(engine, frame.rec, entry=False)
+            stack.pop()
+            continue
+        if frame.i < frame.walked:
+            targets = site.targets
+            n = site.n_targets
+            target = targets[0] if n == 1 else targets[frame.i % n]
+            frame.i += 1
+            child = _enter(engine, target, frame.child_depth)
+            if child is not None:
+                stack.append(child)
+            continue
+        if frame.charged > 0:
+            engine._charge(site.targets[0], frame.charged)
+        frame.site = None
+
+
+def _mpi_call(engine: ExecutionEngine, mf) -> None:
+    if engine.pmpi is None:
+        # headless run (no MPI world): charge the stub cost only
+        engine.clock.advance(mf.base_cost)
+        return
+    cycles = engine.pmpi.call(mf.name)
+    engine.clock.advance(cycles)
+
+
+def _fire_sled(engine: ExecutionEngine, rec, *, entry: bool) -> None:
+    addrs = rec.sleds
+    if engine.xray_runtime is None or addrs is None:
+        return
+    fired = engine.xray_runtime.fire_sled(addrs[0] if entry else addrs[1])
+    if fired:
+        engine.clock.advance(engine.cost_model.patched_dispatch)
+    else:
+        engine.clock.advance(engine.cost_model.nop_sled)
 
 
 class NeverStore(dict):
@@ -202,21 +355,23 @@ class NeverStore(dict):
 def defeat_memoization(engine: ExecutionEngine) -> None:
     """Swap an engine's pure-structure caches for write-discarding ones.
 
-    The engine then resolves call targets and builds function records
-    per invocation (the pre-memoisation behaviour) through the
-    identical code path, so its :class:`RunResult` must equal a
-    memoised engine's field for field.
+    The engine then resolves call targets, builds function records and
+    records its walk tape per invocation (the pre-memoisation behaviour)
+    through the identical code path, so its :class:`RunResult` must
+    equal a memoised engine's field for field.
     """
     engine._target_cache = NeverStore()
     engine._records = NeverStore()
+    engine._tapes = NeverStore()
 
 
 @contextmanager
 def seed_execution_mode():
     """Restore the seed's per-call hot-path behaviour process-wide.
 
-    * every engine resolves call targets and rebuilds function records
-      per invocation (:func:`defeat_memoization`),
+    * every engine walks the call tree per run (:func:`reference_run`),
+      resolving call targets and rebuilding function records per
+      invocation (:func:`defeat_memoization`),
     * Score-P address resolution scans the executable symbol table and
       all injected DSO symbols linearly per event, and
     * XRay ``sleds_of`` scans the whole sled table per query.
@@ -225,6 +380,7 @@ def seed_execution_mode():
     from repro.xray import runtime as xray_runtime
 
     orig_post = ExecutionEngine.__post_init__
+    orig_run = ExecutionEngine.run
     orig_resolve = resolution.AddressResolver.resolve
     orig_sleds_of = xray_runtime.RegisteredObject.sleds_of
 
@@ -250,12 +406,14 @@ def seed_execution_mode():
         return [s for s in self.sleds if s.record.function_id == function_id]
 
     ExecutionEngine.__post_init__ = seed_post
+    ExecutionEngine.run = reference_run
     resolution.AddressResolver.resolve = seed_resolve
     xray_runtime.RegisteredObject.sleds_of = seed_sleds_of
     try:
         yield
     finally:
         ExecutionEngine.__post_init__ = orig_post
+        ExecutionEngine.run = orig_run
         resolution.AddressResolver.resolve = orig_resolve
         xray_runtime.RegisteredObject.sleds_of = orig_sleds_of
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ExecutionError
+
 #: Nominal simulated core frequency used to convert cycles to seconds.
 CYCLES_PER_SECOND = 2.0e9
 
@@ -21,7 +23,7 @@ class VirtualClock:
 
     def advance(self, cycles: float) -> None:
         if cycles < 0:
-            raise ValueError(f"cannot advance clock by negative {cycles}")
+            raise ExecutionError(f"cannot advance clock by negative {cycles}")
         self.cycles += cycles
 
     @property

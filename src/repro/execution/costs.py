@@ -24,7 +24,8 @@ real system.  The paper's qualitative results emerge from their
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from repro.errors import CapiError
 
@@ -73,6 +74,17 @@ class CostModel:
     dso_register: float = 2.0e6
     #: parsing one IC entry at startup
     ic_parse_entry: float = 1_200.0
+
+    def __post_init__(self) -> None:
+        # the engine adds sled and dispatch prices to the clock inline,
+        # past VirtualClock.advance's check: a bad price stops here
+        for price in fields(self):
+            value = getattr(self, price.name)
+            if not math.isfinite(value) or value < 0:
+                raise CapiError(
+                    f"cost model price {price.name}={value!r} must be "
+                    f"finite and non-negative"
+                )
 
     # -- conversions -----------------------------------------------------------
 

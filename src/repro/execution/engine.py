@@ -18,35 +18,45 @@ Workload` caps; capped-off repetitions are charged *analytically* from
 a memoised per-function cost closure so the total virtual time still
 reflects the full dynamic workload.
 
-The innermost walked-execution loop is memoised: dynamic call targets
-(including the deterministic virtual-dispatch hash rotation) are
-resolved **once per call site**, and each function's sites are folded
-into a per-function record carrying the precomputed ``(walked,
-charged)`` workload split.  All caches that depend on sled state
-(``_patched_cache``, ``_analytic_memo``) are keyed against the XRay
-patch epoch — the patcher's cumulative patch/unpatch counter — so
-mid-run repatching by the DynCaPI runtime can never serve stale costs.
+**Walk once, replay per run.**  The walk is fixed by the program and the
+workload: which functions are entered and in which order, which MPI
+operations run and which capped-off repetitions are charged never depend
+on sled state, the tool or the clock.  So the engine records the walk
+once as a *walk tape* — flat columns of op codes (ENTER, EXIT, MPI,
+CHARGE) and operands, with the entry/exit event counts and per-function
+calls counted while it is recorded — and every run replays the tape in
+one loop.  A NOP sled is charged inline from the patcher's decoded
+table; only a patched sled goes through :meth:`XRayRuntime.fire_sled`,
+so the handler, the MPI calls and the analytic charges add to the clock
+in exactly the walk's order.  Tool code (the handler, PMPI interceptors,
+init/finalize callbacks) may patch or unpatch sleds, so the replay
+re-reads the decoded table after every call out.  The caches that
+depend on sled state (``_patched_cache``, ``_analytic_memo``) are keyed
+against the XRay patch epoch — the patcher's cumulative patch/unpatch
+counter — so mid-run repatching can never serve stale costs.
 
 What the engine derives from the program alone is kept on the linked
 program (:func:`~repro.program.loader.program_cache`) per loaded layout
 — object names and bases — and shared by every run over that layout:
-the function map, the call-target cache, the once-per-run spine and the
-static initialisers.  Per-function records (which also carry the
-function's sled addresses) depend on the :class:`Workload`, so only the
-most recent workload's are kept, in a single slot: a multi-rank world
-gives every rank its own ``root_scale``, and a cache keyed by workload
-would grow with every rank.
+the function map, the call-target cache (dynamic targets with the
+deterministic virtual-dispatch rotation applied), the once-per-run
+spine and the static initialisers.  Per-function records (which also
+carry the function's sled addresses) and tapes depend on the
+:class:`Workload` *except* its ``root_scale``, so a layout keeps them in
+one slot keyed on the workload with ``root_scale`` left out: every rank
+of a multi-rank world, each with its own ``root_scale``, shares them.
+``root_scale`` acts only on the call sites of the spine; an engine
+re-splits those from its own workload, and the slot keeps one tape per
+*walk shape* — the walked counts of those sites.
 
-The walk itself is an explicit work-stack loop (one ``_Frame`` per open
-function invocation) rather than Python recursion, so the dynamic call
-depth is bounded only by :attr:`Workload.max_depth` — deep wrapper
-chains and deep per-rank workloads never hit the interpreter recursion
-limit.
+The tape is recorded with an explicit stack (no Python recursion), so
+the dynamic call depth is bounded only by :attr:`Workload.max_depth`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, replace
 
 from repro._util import stable_hash
 from repro.errors import ExecutionError
@@ -65,6 +75,10 @@ from repro.xray.sled import SLED_BYTES
 #: one-shot lifecycle calls: never scaled, never charged analytically
 _LIFECYCLE = ("MPI_Init", "MPI_Finalize")
 
+#: tape op codes; ENTER and EXIT must stay 0 and 1 (they index the
+#: replay's pair of sled columns)
+_ENTER, _EXIT, _MPI, _CHARGE = range(4)
+
 
 @dataclass
 class _AnalyticTotals:
@@ -81,11 +95,13 @@ class _AnalyticTotals:
 class _SiteRecord:
     """One machine call site with targets and workload split resolved."""
 
-    __slots__ = ("targets", "n_targets", "walked", "charged", "effective")
+    __slots__ = ("targets", "n_targets", "count", "walked", "charged", "effective")
 
     #: dynamic targets, virtual-dispatch rotation already applied
     targets: tuple[str, ...]
     n_targets: int
+    #: declared repetitions per invocation of the caller
+    count: int
     #: workload split of the site count (lifecycle sites: count, 0)
     walked: int
     charged: int
@@ -95,7 +111,7 @@ class _SiteRecord:
 
 @dataclass
 class _FnRecord:
-    """Per-function execution record: everything ``_execute`` touches."""
+    """Per-function execution record: everything a walk touches."""
 
     __slots__ = ("mf", "name", "base_cost", "is_mpi", "sites", "sleds")
 
@@ -109,33 +125,91 @@ class _FnRecord:
     sleds: tuple[int, int] | None
 
 
-class _Frame:
-    """One open function invocation on the explicit walk stack."""
+class _Tape:
+    """One walk shape's call-tree walk, recorded as flat columns.
 
-    __slots__ = ("rec", "child_depth", "sites", "si", "site", "i", "walked", "charged")
+    ``ops[k]`` is an op code; ``args[k]`` indexes the per-tape function
+    columns for ENTER, EXIT and MPI, and the charge columns for CHARGE.
+    A *spine charge* is the analytic residual of a call site
+    ``root_scale`` acts on: ``charge_times`` holds its count under the
+    recording run's ``root_scale``, and a run under another one re-reads
+    it from its own records (``spine_charges``: charge index, caller,
+    site position, repetitions walked there).
+    """
 
-    def __init__(self, rec: _FnRecord, child_depth: int, sites: list[_SiteRecord]):
-        self.rec = rec
-        self.child_depth = child_depth
-        #: sites to process (empty when the frame sits at the depth cap)
-        self.sites = sites
-        self.si = 0
-        #: the site currently being expanded (None: fetch the next one)
-        self.site: _SiteRecord | None = None
-        self.i = 0
-        self.walked = 0
-        self.charged = 0
+    __slots__ = (
+        "ops", "args", "names", "base_costs", "entry_sleds", "exit_sleds",
+        "charge_names", "charge_times", "spine_charges", "root_scale",
+        "entry_events", "exit_events", "calls", "missing_entry", "_index",
+    )
 
+    def __init__(self, root_scale: float) -> None:
+        self.ops = array("B")
+        self.args = array("i")
+        #: per-tape function columns (sled addresses: 0 without sleds)
+        self.names: list[str] = []
+        self.base_costs: list[float] = []
+        self.entry_sleds: list[int] = []
+        self.exit_sleds: list[int] = []
+        #: charge columns: target name and capped-off repetitions
+        self.charge_names: list[str] = []
+        self.charge_times = array("q")
+        self.spine_charges: list[tuple[int, str, int, int]] = []
+        self.root_scale = root_scale
+        self.entry_events = 0
+        self.exit_events = 0
+        #: entries per function, in first-entry order
+        self.calls: dict[str, int] = {}
+        #: the entry function's name when it was not emitted
+        self.missing_entry: str | None = None
+        self._index: dict[str, int] | None = {}
 
-_NO_SITES: list[_SiteRecord] = []
+    def _function(self, rec: _FnRecord) -> int:
+        index = self._index
+        fi = index.get(rec.name)
+        if fi is None:
+            fi = index[rec.name] = len(self.names)
+            self.names.append(rec.name)
+            self.base_costs.append(rec.base_cost)
+            entry, exit_ = rec.sleds or (0, 0)
+            self.entry_sleds.append(entry)
+            self.exit_sleds.append(exit_)
+        return fi
+
+    def enter(self, rec: _FnRecord) -> None:
+        self.ops.append(_ENTER)
+        self.args.append(self._function(rec))
+        self.entry_events += 1
+        self.calls[rec.name] = self.calls.get(rec.name, 0) + 1
+
+    def exit(self, rec: _FnRecord) -> None:
+        self.ops.append(_EXIT)
+        self.args.append(self._function(rec))
+        self.exit_events += 1
+
+    def mpi(self, rec: _FnRecord) -> None:
+        self.ops.append(_MPI)
+        self.args.append(self._function(rec))
+
+    def charge(self, target: str, times: int) -> int:
+        self.ops.append(_CHARGE)
+        self.args.append(len(self.charge_names))
+        self.charge_names.append(target)
+        self.charge_times.append(times)
+        return len(self.charge_names) - 1
+
+    def seal(self) -> "_Tape":
+        """Drop what only recording needs."""
+        self._index = None
+        return self
 
 
 class _LayoutTables:
     """What engines derive from one loaded layout of one linked program."""
 
     __slots__ = (
-        "functions", "target_cache", "root_region", "initializers",
-        "workload", "records",
+        "functions", "target_cache", "root_region", "root_sites",
+        "initializers", "workload", "records", "tapes",
     )
 
     def __init__(self, loaded: list[LoadedObject]) -> None:
@@ -152,9 +226,14 @@ class _LayoutTables:
         #: (callee, kind, pointer_id) -> rotated target tuple
         self.target_cache: dict[tuple, tuple[str, ...]] = {}
         self.root_region: set[str] | None = None
-        #: the single slot: per-function records of ``workload`` only
+        #: (spine function, site position) of every site root_scale splits
+        self.root_sites: tuple[tuple[str, int], ...] | None = None
+        #: the single slot: records and tapes of ``workload`` (its
+        #: root_scale left out)
         self.workload: Workload | None = None
         self.records: dict[str, _FnRecord | None] = {}
+        #: walk shape -> tape
+        self.tapes: dict[tuple[int, ...], _Tape] = {}
 
     @classmethod
     def of(cls, linked: LinkedProgram, loaded: list[LoadedObject]) -> "_LayoutTables":
@@ -165,11 +244,15 @@ class _LayoutTables:
             tables = layouts[key] = cls(loaded)
         return tables
 
-    def records_for(self, workload: Workload) -> dict[str, "_FnRecord | None"]:
+    def slot_for(self, workload: Workload) -> None:
+        """Point the slot at ``workload`` with its ``root_scale`` left
+        out, emptied if it held another workload's."""
+        if workload.root_scale != 1.0:
+            workload = replace(workload, root_scale=1.0)
         if workload != self.workload:
             self.workload = workload
             self.records = {}
-        return self.records
+            self.tapes = {}
 
 
 @dataclass
@@ -196,14 +279,20 @@ class ExecutionEngine:
         self._program: SourceProgram = self.linked.compiled.program
         #: (callee, kind, pointer_id) -> rotated target tuple
         self._target_cache = self._tables.target_cache
-        #: function name -> _FnRecord (or None for fully-inlined targets)
-        self._records = self._tables.records_for(self.workload)
+        self._tables.slot_for(self.workload)
+        #: function name -> _FnRecord (or None for fully-inlined targets),
+        #: split as if ``root_scale`` were 1.0
+        self._records = self._tables.records
+        #: walk shape -> tape
+        self._tapes = self._tables.tapes
+        #: spine records re-split under this run's ``root_scale``
+        self._scaled: dict[str, _FnRecord] = {}
+        if self.workload.root_scale != 1.0:
+            self._scaled = self._scaled_spine()
         self._patched_cache: dict[str, bool] = {}
         self._analytic_memo: dict[str, _AnalyticTotals] = {}
         #: XRay patch epoch the sled-state caches were computed under
         self._cache_epoch = self._patch_epoch()
-        #: once-per-run spine (root_scale scope), checked on first use
-        self._root_region_set: set[str] | None = None
         self._result: RunResult | None = None
 
     # -- public ---------------------------------------------------------------
@@ -218,14 +307,14 @@ class ExecutionEngine:
         self._result = result
         start = self.clock.now()
         if self.workload.root_scale != 1.0:
-            # kept records skip the spine lookup; check (and warn) per run
-            self._root_region()
-        for name in self._tables.initializers:
-            self._execute(name, depth=0)
-        entry = self._program.entry
-        if entry not in self._functions:
-            raise ExecutionError(f"entry function {entry!r} was not emitted")
-        self._execute(entry, depth=0)
+            self._check_root_scale()
+        tape = self._tape()
+        self._replay(tape)
+        if tape.missing_entry is not None:
+            raise ExecutionError(f"entry function {tape.missing_entry!r} was not emitted")
+        result.entry_events = tape.entry_events
+        result.exit_events = tape.exit_events
+        result.per_function_calls = dict(tape.calls)
         result.t_app_cycles = self.clock.now() - start
         if self.pmpi is not None:
             result.mpi_calls += self.pmpi.world.mpi_calls
@@ -264,6 +353,9 @@ class ExecutionEngine:
 
     def _record_of(self, name: str) -> _FnRecord | None:
         """Per-function execution record, memoised (None: fully inlined)."""
+        rec = self._scaled.get(name)
+        if rec is not None:
+            return rec
         rec = self._records.get(name)
         if rec is None and name not in self._records:
             rec = self._build_record(name)
@@ -271,43 +363,17 @@ class ExecutionEngine:
         return rec
 
     def _build_record(self, name: str) -> _FnRecord | None:
+        """The record of ``name`` with every site split as if
+        ``root_scale`` were 1.0 (see :meth:`_scaled_spine`)."""
         mf = self._functions.get(name)
         if mf is None:
             # target was fully inlined: its cost lives in the caller already
             return None
         sites: list[_SiteRecord] = []
-        split = self.workload.split
-        effective = self.workload.effective_count
-        # the one-shot root_scale (rank-dependent iteration counts)
-        # applies to sites of the once-per-run spine — but never to
-        # spine-internal links (main -> timeLoop), otherwise the factor
-        # would compound once per spine edge instead of applying once
-        spine: set[str] = (
-            self._root_region()
-            if self.workload.root_scale != 1.0 and name in self._root_region()
-            else set()
-        )
         for site in mf.call_sites:
             targets = self._site_targets(site)
-            if not targets:
-                continue
-            root = bool(spine) and not (
-                len(targets) == 1 and targets[0] in spine
-            )
-            if targets[0] in _LIFECYCLE:
-                # lifecycle calls are one-shot: never scaled, never charged
-                walked, charged = site.count, 0
-            else:
-                walked, charged = split(site.count, root=root)
-            sites.append(
-                _SiteRecord(
-                    targets=targets,
-                    n_targets=len(targets),
-                    walked=walked,
-                    charged=charged,
-                    effective=effective(site.count, root=root),
-                )
-            )
+            if targets:
+                sites.append(self._site_record(targets, site.count, root=False))
         return _FnRecord(
             mf=mf,
             name=mf.name,
@@ -316,6 +382,46 @@ class ExecutionEngine:
             sites=sites,
             sleds=self._sled_addresses(mf),
         )
+
+    def _site_record(
+        self, targets: tuple[str, ...], count: int, *, root: bool
+    ) -> _SiteRecord:
+        if targets[0] in _LIFECYCLE:
+            # lifecycle calls are one-shot: never scaled, never charged
+            walked, charged = count, 0
+        else:
+            walked, charged = self.workload.split(count, root=root)
+        return _SiteRecord(
+            targets=targets,
+            n_targets=len(targets),
+            count=count,
+            walked=walked,
+            charged=charged,
+            effective=self.workload.effective_count(count, root=root),
+        )
+
+    def _scaled_spine(self) -> dict[str, _FnRecord]:
+        """The spine's records with this run's ``root_scale`` applied.
+
+        The one-shot ``root_scale`` (rank-dependent iteration counts)
+        applies to sites of the once-per-run spine — but never to
+        spine-internal links (main -> timeLoop), otherwise the factor
+        would compound once per spine edge instead of applying once.
+        """
+        region = self._root_region()
+        scaled = {}
+        for name in region:
+            rec = self._record_of(name)
+            if rec is None:
+                continue
+            sites = [
+                site
+                if site.n_targets == 1 and site.targets[0] in region
+                else self._site_record(site.targets, site.count, root=True)
+                for site in rec.sites
+            ]
+            scaled[name] = replace(rec, sites=sites)
+        return scaled
 
     def _sled_addresses(self, mf: MachineFunction) -> tuple[int, int] | None:
         """Absolute (entry, exit) sled addresses of ``mf`` as loaded."""
@@ -330,6 +436,21 @@ class ExecutionEngine:
                 )
         return None
 
+    def _check_root_scale(self) -> None:
+        """Warn when this run's ``root_scale`` has nothing to act on."""
+        if not self._spine_has_scalable_site(self._root_region()):
+            import warnings
+
+            warnings.warn(
+                f"Workload.root_scale={self.workload.root_scale} has no "
+                f"effect on {self._program.name!r}: every call site of the "
+                f"once-per-run spine is itself a spine link, so no "
+                f"iteration count can be scaled (per-rank imbalance will "
+                f"report a load balance of 1.0)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+
     def _root_region(self) -> set[str]:
         """The once-per-run spine: where ``root_scale`` applies.
 
@@ -343,26 +464,9 @@ class ExecutionEngine:
         so it is purely static: independent of ``root_scale`` *and* of
         the compounding ``scale`` knob.
         """
-        if self._root_region_set is not None:
-            return self._root_region_set
         region = self._tables.root_region
         if region is None:
             region = self._tables.root_region = self._spine()
-        self._root_region_set = region
-        if self.workload.root_scale != 1.0 and not self._spine_has_scalable_site(
-            region
-        ):
-            import warnings
-
-            warnings.warn(
-                f"Workload.root_scale={self.workload.root_scale} has no "
-                f"effect on {self._program.name!r}: every call site of the "
-                f"once-per-run spine is itself a spine link, so no "
-                f"iteration count can be scaled (per-rank imbalance will "
-                f"report a load balance of 1.0)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
         return region
 
     def _spine(self) -> set[str]:
@@ -405,104 +509,175 @@ class ExecutionEngine:
                     return True
         return False
 
-    # -- execution -------------------------------------------------------------
+    def _root_sites(self) -> tuple[tuple[str, int], ...]:
+        """(spine function, site position) of every site whose walked
+        and charged counts ``root_scale`` changes, in a fixed order."""
+        tables = self._tables
+        if tables.root_sites is None:
+            region = self._root_region()
+            found = []
+            for name in sorted(region):
+                rec = self._record_of(name)
+                for pos, site in enumerate(rec.sites if rec is not None else ()):
+                    if site.targets[0] in _LIFECYCLE or (
+                        site.n_targets == 1 and site.targets[0] in region
+                    ):
+                        continue
+                    found.append((name, pos))
+            tables.root_sites = tuple(found)
+        return tables.root_sites
 
-    def _enter(self, name: str, depth: int) -> _Frame | None:
-        """Process one function entry; returns the frame to descend into.
+    # -- the walk tape -----------------------------------------------------------
 
-        MPI stubs and fully-inlined targets are handled in place and
-        yield no frame, exactly like the leaf cases of the former
-        recursive walker.
+    def _tape(self) -> _Tape:
+        """This run's tape: the slot's tape of its walk shape, recorded
+        on first use."""
+        # the walked counts of the sites root_scale splits: runs whose
+        # shapes match walk the same tree
+        shape = tuple(
+            self._record_of(name).sites[pos].walked for name, pos in self._root_sites()
+        )
+        tape = self._tapes.get(shape)
+        if tape is None:
+            tape = self._record_tape(frozenset(self._root_sites()))
+            self._tapes[shape] = tape
+        return tape
+
+    def _record_tape(self, root_sites: frozenset[tuple[str, int]]) -> _Tape:
+        """Walk the call tree as a run does and record what it does.
+
+        The traversal order, event counts and the per-site event-budget
+        check are the walk's: each site's budget split is decided when
+        the walk first reaches the site, its walked repetitions descend
+        in order, and the analytic residual is charged after the last
+        one.
         """
-        rec = self._record_of(name)
-        if rec is None:
-            return None
-        result = self._result
-        assert result is not None
-        if rec.is_mpi:
-            self._mpi_call(rec.mf)
-            return None
-        result.entry_events += 1
-        calls = result.per_function_calls
-        calls[name] = calls.get(name, 0) + 1
-        self._fire_sled(rec, entry=True)
-        base_cost = rec.base_cost
-        self.clock.advance(base_cost)
-        result.useful_cycles += base_cost
-        sites = rec.sites if depth < self.workload.max_depth else _NO_SITES
-        return _Frame(rec, depth + 1, sites)
+        tape = _Tape(self.workload.root_scale)
+        for name in self._tables.initializers:
+            self._record_tree(tape, name, root_sites)
+        entry = self._program.entry
+        if entry in self._functions:
+            self._record_tree(tape, entry, root_sites)
+        else:
+            tape.missing_entry = entry
+        return tape.seal()
 
-    def _execute(self, name: str, depth: int) -> None:
-        """Walk one call tree with an explicit frame stack (no recursion).
+    def _record_tree(
+        self, tape: _Tape, name: str, root_sites: frozenset[tuple[str, int]]
+    ) -> None:
+        """Record one call tree from ``name`` at depth 0."""
+        budget = self.workload.event_budget
+        max_depth = self.workload.max_depth
 
-        The traversal order, clock charges, event counts and the
-        per-site event-budget check are identical to the recursive
-        formulation: each site's budget split is decided when the walk
-        first reaches the site, its walked repetitions descend in
-        order, and the analytic residual is charged after the last one.
-        """
-        result = self._result
-        assert result is not None
-        event_budget = self.workload.event_budget
-        frame = self._enter(name, depth)
-        if frame is None:
-            return
-        stack = [frame]
-        while stack:
-            frame = stack[-1]
-            site = frame.site
-            if site is None:
-                if frame.si < len(frame.sites):
-                    site = frame.sites[frame.si]
-                    frame.si += 1
-                    walked = site.walked
-                    charged = site.charged
-                    if result.entry_events >= event_budget:
-                        charged += walked
-                        walked = 0
-                    frame.site = site
-                    frame.walked = walked
-                    frame.charged = charged
-                    frame.i = 0
-                    continue
-                result.exit_events += 1
-                self._fire_sled(frame.rec, entry=False)
+        def frame(rec: _FnRecord, depth: int):
+            # yields the targets to descend into, in walk order
+            for pos, site in enumerate(rec.sites if depth < max_depth else ()):
+                walked, charged = site.walked, site.charged
+                if tape.entry_events >= budget:
+                    charged += walked
+                    walked = 0
+                targets, n = site.targets, site.n_targets
+                for i in range(walked):
+                    yield targets[0] if n == 1 else targets[i % n]
+                if (rec.name, pos) in root_sites:
+                    # kept even when 0: another root_scale may charge here
+                    index = tape.charge(targets[0], charged)
+                    tape.spine_charges.append((index, rec.name, pos, walked))
+                elif charged > 0:
+                    tape.charge(targets[0], charged)
+            tape.exit(rec)
+
+        stack: list = []
+        target: str | None = name
+        depth = 0
+        while True:
+            if target is not None:
+                rec = self._record_of(target)
+                if rec is not None and rec.is_mpi:
+                    tape.mpi(rec)
+                elif rec is not None:
+                    tape.enter(rec)
+                    stack.append((frame(rec, depth), depth + 1))
+            if not stack:
+                return
+            walk, depth = stack[-1]
+            target = next(walk, None)
+            if target is None:
                 stack.pop()
-                continue
-            if frame.i < frame.walked:
-                targets = site.targets
-                n = site.n_targets
-                target = targets[0] if n == 1 else targets[frame.i % n]
-                frame.i += 1
-                child = self._enter(target, frame.child_depth)
-                if child is not None:
-                    stack.append(child)
-                continue
-            if frame.charged > 0:
-                self._charge(site.targets[0], frame.charged)
-            frame.site = None
 
-    def _mpi_call(self, mf: MachineFunction) -> None:
+    def _replay(self, tape: _Tape) -> None:
+        """Run the tape: charge the clock and call out, in walk order."""
         result = self._result
         assert result is not None
-        if self.pmpi is None:
-            # headless run (no MPI world): charge the stub cost only
-            self.clock.advance(mf.base_cost)
-            return
-        cycles = self.pmpi.call(mf.name)
-        self.clock.advance(cycles)
+        clock = self.clock
+        runtime = self.xray_runtime
+        pmpi = self.pmpi
+        nop = self.cost_model.nop_sled
+        dispatch = self.cost_model.patched_dispatch
+        names = tape.names
+        base_costs = tape.base_costs
+        charge_names = tape.charge_names
+        charge_times = tape.charge_times
+        if self.workload.root_scale != tape.root_scale:
+            charge_times = array("q", charge_times)
+            for index, caller, pos, walked in tape.spine_charges:
+                site = self._record_of(caller).sites[pos]
+                charge_times[index] = site.walked + site.charged - walked
+        if runtime is None:
+            sleds = ([0] * len(names),) * 2
+            decoded = registered = refresh = None
+        else:
+            sleds = (tape.entry_sleds, tape.exit_sleds)
+            # both live: the patcher updates the decoded table in place
+            # until a write it did not make drops it (re-read after every
+            # call out); (de)registration edits the index in place
+            registered = runtime.sled_index
+            refresh = runtime.decoded
+            decoded = refresh()
+        cycles = clock.cycles
+        useful = result.useful_cycles
+        for op, arg in zip(tape.ops, tape.args):
+            if op <= _EXIT:
+                at = sleds[op][arg]
+                if not at:
+                    pass
+                elif at in decoded or at not in registered:
+                    # a patched sled, or one no object registered: its bytes
+                    clock.cycles = cycles
+                    fired = runtime.fire_sled(at)
+                    decoded = refresh()
+                    cycles = clock.cycles + (dispatch if fired else nop)
+                else:
+                    cycles += nop
+                if op == _ENTER:
+                    cost = base_costs[arg]
+                    cycles += cost
+                    useful += cost
+            elif op == _MPI:
+                if pmpi is None:
+                    # headless run (no MPI world): charge the stub cost only
+                    cycles += base_costs[arg]
+                    continue
+                clock.cycles = cycles
+                clock.advance(pmpi.call(names[arg]))
+                cycles = clock.cycles
+                if refresh is not None:
+                    decoded = refresh()
+            else:
+                times = charge_times[arg]
+                if times <= 0:
+                    continue
+                clock.cycles = cycles
+                result.useful_cycles = useful
+                self._charge(charge_names[arg], times)
+                cycles = clock.cycles
+                useful = result.useful_cycles
+                if refresh is not None:
+                    decoded = refresh()
+        clock.cycles = cycles
+        result.useful_cycles = useful
 
     # -- sleds --------------------------------------------------------------------
-
-    def _fire_sled(self, rec: _FnRecord, *, entry: bool) -> None:
-        addrs = rec.sleds
-        if self.xray_runtime is None or addrs is None:
-            return
-        fired = self.xray_runtime.fire_sled(addrs[0] if entry else addrs[1])
-        if fired:
-            self.clock.advance(self.cost_model.patched_dispatch)
-        else:
-            self.clock.advance(self.cost_model.nop_sled)
 
     def _patch_epoch(self) -> int:
         """Monotone counter of sled-state changes (patch + unpatch ops)."""

@@ -129,7 +129,7 @@ class XRayRuntime:
             next_dso_id=self._next_dso_id,
             trampolines=self.trampolines.copy(),
             sled_index=MappingProxyType(dict(self._sled_index)),
-            patched=MappingProxyType(dict(self._decoded())),
+            patched=MappingProxyType(dict(self.decoded())),
         )
 
     @classmethod
@@ -376,7 +376,7 @@ class XRayRuntime:
     def is_patched(self, packed: PackedId) -> bool:
         obj = self.object(packed.object_id)
         sleds = obj.sleds_of(packed.function_id)
-        table = self._decoded()
+        table = self.decoded()
         return bool(sleds) and all(s.address in table for s in sleds)
 
     def patched_count(self) -> int:
@@ -384,7 +384,7 @@ class XRayRuntime:
         table: the work follows the patched sleds, not the program."""
         per_function = Counter(
             (self._object_at(address).object_id, self._sled_index[address].function_id)
-            for address in self._decoded()
+            for address in self.decoded()
         )
         return sum(
             1
@@ -393,9 +393,17 @@ class XRayRuntime:
             and patched == len(self._objects[object_id].sleds_of(fid))
         )
 
-    def _decoded(self) -> dict[int, tuple[int, int]]:
-        """The patcher's decoded table over every registered sled."""
+    def decoded(self) -> dict[int, tuple[int, int]]:
+        """The patcher's decoded table over every registered sled: the
+        patcher updates it in place, and a write it did not make (or a
+        (de)registration) makes the next call re-read the bytes."""
         return self.patcher.sync(self._sled_index)
+
+    @property
+    def sled_index(self) -> Mapping[int, SledRecord]:
+        """Sled address -> record of every registered sled; registration
+        and deregistration edit it in place."""
+        return self._sled_index
 
     # -- event dispatch ----------------------------------------------------------------
 

@@ -1,8 +1,11 @@
 """Tests for the virtual clock and cost model."""
 
+import math
+from dataclasses import fields
+
 import pytest
 
-from repro.errors import CapiError
+from repro.errors import CapiError, ExecutionError
 from repro.execution.clock import CYCLES_PER_SECOND, VirtualClock
 from repro.execution.costs import CostModel
 
@@ -21,7 +24,7 @@ class TestClock:
         assert clock.seconds == pytest.approx(1.0)
 
     def test_negative_advance_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ExecutionError, match="negative -1"):
             VirtualClock().advance(-1)
 
 
@@ -47,6 +50,12 @@ class TestCostModel:
         """Score-P's startup is heavier than TALP's (paper Tinit)."""
         cm = CostModel()
         assert cm.scorep_init_base > cm.talp_init_base
+
+    @pytest.mark.parametrize("price", [f.name for f in fields(CostModel)])
+    @pytest.mark.parametrize("value", [-1.0, math.inf, math.nan])
+    def test_bad_price_rejected(self, price, value):
+        with pytest.raises(CapiError, match=f"price {price}="):
+            CostModel(**{price: value})
 
     def test_frozen(self):
         cm = CostModel()
