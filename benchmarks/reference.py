@@ -197,9 +197,10 @@ def seed_reference_select(graph: CallGraph, spec_source: str) -> frozenset[str]:
 # -- the reference walk and the seed engine mode -------------------------------------
 #
 # The engine's frame walker before the walk tape: it walks the call tree
-# on every run, one ``_Frame`` per open invocation, and fires every sled
-# through ``XRayRuntime.fire_sled``.  The tape's replay must reproduce
-# it field for field.
+# on every run, one ``_Frame`` per open invocation, fires every sled
+# through ``XRayRuntime.fire_sled`` and charges capped-off repetitions
+# through ``_charge``.  The tape's replay must reproduce it field for
+# field.
 
 
 class _Frame:
@@ -321,7 +322,7 @@ def _execute(engine: ExecutionEngine, name: str, depth: int) -> None:
                 stack.append(child)
             continue
         if frame.charged > 0:
-            engine._charge(site.targets[0], frame.charged)
+            _charge(engine, site.targets[0], frame.charged)
         frame.site = None
 
 
@@ -332,6 +333,31 @@ def _mpi_call(engine: ExecutionEngine, mf) -> None:
         return
     cycles = engine.pmpi.call(mf.name)
     engine.clock.advance(cycles)
+
+
+def _charge(engine: ExecutionEngine, name: str, times: int) -> None:
+    """Charge ``times`` capped-off invocations of ``name`` analytically."""
+    totals = engine._analytic(name)
+    result = engine._result
+    assert result is not None
+    extra_mpi = _interceptor_estimate(engine) * totals.mpi_calls * times
+    engine.clock.advance(times * totals.cycles + extra_mpi)
+    result.useful_cycles += times * totals.useful
+    result.charged_only_calls += times * totals.entries
+    if engine.pmpi is not None:
+        result.mpi_cycles += times * totals.mpi_cycles
+        result.mpi_calls += times * totals.mpi_calls
+
+
+def _interceptor_estimate(engine: ExecutionEngine) -> float:
+    """Current per-MPI-call interceptor overhead (e.g. TALP's)."""
+    if engine.pmpi is None:
+        return 0.0
+    return sum(
+        interceptor.estimate_extra()
+        for interceptor in engine.pmpi.interceptors
+        if hasattr(interceptor, "estimate_extra")
+    )
 
 
 def _fire_sled(engine: ExecutionEngine, rec, *, entry: bool) -> None:
@@ -395,8 +421,9 @@ def seed_execution_mode():
                 if sym.offset <= address - exe.base < sym.offset + sym.size:
                     self.resolved_queries += 1
                     return sym.name
-        for start, (name, size) in self._injected.items():
-            if start <= address < start + max(size, 1):
+        injected = self._injected
+        for start, (end, name) in zip(injected.starts, injected.payloads):
+            if start <= address < end:
                 self.resolved_queries += 1
                 return name
         self.unresolved_queries += 1

@@ -17,11 +17,13 @@ would silently vanish.  CaPI compensates in two steps:
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass, field
 
 from repro.cg.graph import CallGraph
 from repro.core.ic import InstrumentationConfig
 from repro.program.linker import LinkedProgram
+from repro.program.loader import program_cache
 
 
 @dataclass
@@ -36,16 +38,23 @@ class CompensationResult:
     uncovered: set[str] = field(default_factory=set)
 
 
-def available_symbols(linked: LinkedProgram) -> set[str]:
-    """Symbols visible to ``nm`` across the executable and all DSOs."""
-    names: set[str] = set()
-    for obj in linked.all_objects():
-        names.update(sym.name for sym in obj.nm_symbols())
-    return names
+def available_symbols(linked: LinkedProgram) -> frozenset[str]:
+    """Symbols visible to ``nm`` across the executable and all DSOs.
+
+    Listed once per linked program and kept on it
+    (:func:`~repro.program.loader.program_cache`): every compensation
+    of the program reads the same set.
+    """
+    cache = program_cache(linked)
+    if cache.nm_names is None:
+        cache.nm_names = frozenset(
+            sym.name for obj in linked.all_objects() for sym in obj.nm_symbols()
+        )
+    return cache.nm_names
 
 
 def approximate_inlined(
-    selected: frozenset[str], symbols: set[str]
+    selected: frozenset[str], symbols: Set[str]
 ) -> set[str]:
     """Selected functions whose symbol is missing → assumed inlined."""
     return {name for name in selected if name not in symbols}
@@ -83,7 +92,7 @@ def compensate_inlining(
 
 
 def _first_non_inlined_callers(
-    graph: CallGraph, name: str, symbols: set[str]
+    graph: CallGraph, name: str, symbols: Set[str]
 ) -> set[str]:
     """Walk callers upward until hitting functions with symbols.
 

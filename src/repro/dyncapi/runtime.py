@@ -33,7 +33,7 @@ from types import MappingProxyType
 from repro.core.ic import IC_ENV_VAR, InstrumentationConfig
 from repro.dyncapi.symbols import (
     IdNameMap,
-    SymbolTriple,
+    ObjectSymbols,
     build_id_name_map,
     collect_all_symbols,
 )
@@ -80,8 +80,9 @@ class ProcessState:
     xray: RuntimeSnapshot
     #: DSO name -> object id, as the xray-dso runtime registered them
     dsos: Mapping[str, int]
-    #: object name -> its symbol triples (:func:`collect_all_symbols`)
-    symbols: Mapping[str, tuple[SymbolTriple, ...]]
+    #: object name -> its symbol triples (:func:`collect_all_symbols`),
+    #: with the DSOs' injected-symbol index
+    symbols: ObjectSymbols
     id_names: IdNameMap
 
     @classmethod
@@ -111,9 +112,7 @@ class ProcessState:
             layout=_layout(loader),
             xray=xray.snapshot(),
             dsos=MappingProxyType(registered),
-            symbols=MappingProxyType(
-                {name: tuple(triples) for name, triples in symbols.items()}
-            ),
+            symbols=ObjectSymbols(symbols, registered),
             id_names=build_id_name_map(xray, symbols),
         )
 

@@ -15,11 +15,12 @@ is exempt (its on-disk symbol table is fully readable).
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from repro.program.loader import DynamicLoader, LoadedObject
+from repro.scorep.resolution import SymbolIndex
 from repro.xray.ids import PackedId
 from repro.xray.runtime import XRayRuntime
 
@@ -49,6 +50,43 @@ def collect_all_symbols(loader: DynamicLoader) -> dict[str, list[SymbolTriple]]:
     return {
         name: collect_object_symbols(lo) for name, lo in loader.loaded.items()
     }
+
+
+class ObjectSymbols(Mapping[str, tuple[SymbolTriple, ...]]):
+    """Object name -> its symbol triples, as start-up collected them.
+
+    Read-only, so every run of a program shares one, and with it the
+    index Score-P's resolver reads the DSOs' triples from (symbol
+    injection, §V-C.1), built on first use.
+    """
+
+    __slots__ = ("_triples", "dsos", "_index")
+
+    def __init__(
+        self, triples: Mapping[str, Sequence[SymbolTriple]], dsos: Iterable[str]
+    ) -> None:
+        self._triples = {name: tuple(ts) for name, ts in triples.items()}
+        #: the DSOs' names, in load order
+        self.dsos = tuple(dsos)
+        self._index: SymbolIndex | None = None
+
+    def __getitem__(self, name: str) -> tuple[SymbolTriple, ...]:
+        return self._triples[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._triples)
+
+    def __len__(self) -> int:
+        return len(self._triples)
+
+    def dso_index(self) -> SymbolIndex:
+        """The resolver's index over every DSO's triples (a later DSO's
+        symbol at an address wins)."""
+        if self._index is None:
+            self._index = SymbolIndex.build(
+                {t.address: (t.name, t.size) for name in self.dsos for t in self[name]}
+            )
+        return self._index
 
 
 @dataclass(frozen=True)

@@ -27,13 +27,16 @@ CHARGE) and operands, with the entry/exit event counts and per-function
 calls counted while it is recorded — and every run replays the tape in
 one loop.  A NOP sled is charged inline from the patcher's decoded
 table; only a patched sled goes through :meth:`XRayRuntime.fire_sled`,
-so the handler, the MPI calls and the analytic charges add to the clock
-in exactly the walk's order.  Tool code (the handler, PMPI interceptors,
-init/finalize callbacks) may patch or unpatch sleds, so the replay
-re-reads the decoded table after every call out.  The caches that
-depend on sled state (``_patched_cache``, ``_analytic_memo``) are keyed
-against the XRay patch epoch — the patcher's cumulative patch/unpatch
-counter — so mid-run repatching can never serve stale costs.
+so the handler and the MPI calls add to the clock in exactly the walk's
+order.  An analytic charge is priced inline too, from the run's table of
+per-invocation subtree totals (``_analytic_memo``, filled on first use
+of a name).  Tool code (the handler, PMPI interceptors, init/finalize
+callbacks) may patch or unpatch sleds, also by writing their bytes
+itself, so the replay re-reads the decoded table after every call out.
+The caches that depend on sled state (``_patched_cache``,
+``_analytic_memo``) are keyed on the process memory's write count, which
+every write to a sled moves, so mid-run repatching can never serve
+stale costs.
 
 What the engine derives from the program alone is kept on the linked
 program (:func:`~repro.program.loader.program_cache`) per loaded layout
@@ -290,9 +293,11 @@ class ExecutionEngine:
         if self.workload.root_scale != 1.0:
             self._scaled = self._scaled_spine()
         self._patched_cache: dict[str, bool] = {}
+        #: name -> per-invocation subtree totals: the run's price table
+        #: for analytic charges
         self._analytic_memo: dict[str, _AnalyticTotals] = {}
-        #: XRay patch epoch the sled-state caches were computed under
-        self._cache_epoch = self._patch_epoch()
+        #: the memory's write count the sled-state caches agree with
+        self._cache_writes = self._sled_writes()
         self._result: RunResult | None = None
 
     # -- public ---------------------------------------------------------------
@@ -634,8 +639,23 @@ class ExecutionEngine:
             registered = runtime.sled_index
             refresh = runtime.decoded
             decoded = refresh()
+        # an analytic charge reads the price table while the memory saw
+        # no write since it was filled; a subtree that makes MPI calls
+        # adds the interceptors' estimate as it stands at the charge
+        # (TALP's follows its open regions; the tool registers its
+        # interceptors before the run), and without an MPI world a
+        # subtree makes none
+        prices = self._analytic_memo
+        memory = runtime.patcher.memory if runtime is not None else None
+        writes = self._cache_writes
+        estimators = [] if pmpi is None else [
+            i.estimate_extra for i in pmpi.interceptors if hasattr(i, "estimate_extra")
+        ]
         cycles = clock.cycles
         useful = result.useful_cycles
+        charged_calls = result.charged_only_calls
+        mpi_cycles = result.mpi_cycles
+        mpi_calls = result.mpi_calls
         for op, arg in zip(tape.ops, tape.args):
             if op <= _EXIT:
                 at = sleds[op][arg]
@@ -667,32 +687,40 @@ class ExecutionEngine:
                 times = charge_times[arg]
                 if times <= 0:
                     continue
-                clock.cycles = cycles
-                result.useful_cycles = useful
-                self._charge(charge_names[arg], times)
-                cycles = clock.cycles
-                useful = result.useful_cycles
-                if refresh is not None:
-                    decoded = refresh()
+                totals = prices.get(charge_names[arg])
+                if totals is None or (memory is not None and memory.writes != writes):
+                    totals = self._analytic(charge_names[arg])
+                    writes = self._cache_writes
+                step = times * totals.cycles
+                if totals.mpi_calls:
+                    step += sum(e() for e in estimators) * totals.mpi_calls * times
+                cycles += step
+                useful += times * totals.useful
+                charged_calls += times * totals.entries
+                mpi_cycles += times * totals.mpi_cycles
+                mpi_calls += times * totals.mpi_calls
         clock.cycles = cycles
         result.useful_cycles = useful
+        result.charged_only_calls = charged_calls
+        result.mpi_cycles = mpi_cycles
+        result.mpi_calls = mpi_calls
 
     # -- sleds --------------------------------------------------------------------
 
-    def _patch_epoch(self) -> int:
-        """Monotone counter of sled-state changes (patch + unpatch ops)."""
+    def _sled_writes(self) -> int:
+        """The memory's write count: it moves with every write to a
+        sled, whether the patcher made it or not."""
         if self.xray_runtime is None:
             return 0
-        stats = self.xray_runtime.patcher.stats
-        return stats.patched + stats.unpatched
+        return self.xray_runtime.patcher.memory.writes
 
     def _check_sled_caches(self) -> None:
-        """Drop sled-state-derived caches if any sled changed since."""
-        epoch = self._patch_epoch()
-        if epoch != self._cache_epoch:
+        """Drop sled-state-derived caches if any byte was written since."""
+        writes = self._sled_writes()
+        if writes != self._cache_writes:
             self._patched_cache.clear()
             self._analytic_memo.clear()
-            self._cache_epoch = epoch
+            self._cache_writes = writes
 
     def _is_patched(self, name: str) -> bool:
         if self.xray_runtime is None:
@@ -710,38 +738,15 @@ class ExecutionEngine:
 
     # -- analytic charging -----------------------------------------------------------
 
-    def _charge(self, name: str, times: int) -> None:
-        """Charge ``times`` capped-off invocations of ``name`` analytically."""
-        totals = self._analytic(name)
-        result = self._result
-        assert result is not None
-        extra_mpi = self._interceptor_estimate() * totals.mpi_calls * times
-        self.clock.advance(times * totals.cycles + extra_mpi)
-        result.useful_cycles += times * totals.useful
-        result.charged_only_calls += times * totals.entries
-        if self.pmpi is not None:
-            result.mpi_cycles += times * totals.mpi_cycles
-            result.mpi_calls += times * totals.mpi_calls
-
-    def _interceptor_estimate(self) -> float:
-        """Current per-MPI-call interceptor overhead (e.g. TALP's)."""
-        if self.pmpi is None:
-            return 0.0
-        return sum(
-            interceptor.estimate_extra()
-            for interceptor in self.pmpi.interceptors
-            if hasattr(interceptor, "estimate_extra")
-        )
-
     def _analytic(self, name: str) -> _AnalyticTotals:
         """Memoised per-invocation subtree cost (cycles/useful/MPI/events).
 
         Computed iteratively over the call DAG; back edges of recursion
         cycles contribute a single level (consistent with the depth cap
-        applied to walked execution).  The memo is keyed to the XRay
-        patch epoch: any patch/unpatch since it was filled invalidates
-        it wholesale, because patched-sled dispatch costs feed the
-        closure.
+        applied to walked execution).  The memo is keyed to the memory's
+        write count: any write since it was filled — a patch, an unpatch
+        or bytes written behind the patcher's back — invalidates it
+        wholesale, because patched-sled dispatch costs feed the closure.
         """
         self._check_sled_caches()
         memo = self._analytic_memo

@@ -92,17 +92,20 @@ class ProgramCache:
     """What runs derive from one linked program alone, kept on it.
 
     ``startup`` holds DynCaPI's start-up state
-    (:class:`repro.dyncapi.runtime.ProcessState`) and ``layouts`` the
-    execution engine's tables per loaded layout.  Both are built on
+    (:class:`repro.dyncapi.runtime.ProcessState`), ``layouts`` the
+    execution engine's tables per loaded layout and ``nm_names`` the
+    symbol names ``nm`` lists across the program's objects
+    (:func:`repro.core.inlining.available_symbols`).  Each is built on
     first use.  Pickling drops them, so a spawned worker rebuilds them
     instead of receiving them; a forked one inherits them.
     """
 
-    __slots__ = ("startup", "layouts")
+    __slots__ = ("startup", "layouts", "nm_names")
 
     def __init__(self) -> None:
         self.startup = None
         self.layouts: dict = {}
+        self.nm_names: frozenset[str] | None = None
 
     def __reduce__(self):
         return (ProgramCache, ())

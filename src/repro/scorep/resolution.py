@@ -9,13 +9,16 @@ every loaded DSO, restoring resolution.
 
 Resolution sits on the execution engine's per-event hot path (one query
 per region enter/exit), so lookups are memoised per address and the
-injected-symbol ranges are bisected over a sorted index instead of
-scanned linearly.  :meth:`inject_symbols` invalidates both.
+injected symbols are bisected over a sorted :class:`SymbolIndex` instead
+of scanned linearly.  An index is read-only once built, so the index of
+a program's DSO symbols is built once and read in place by the resolver
+of every run (:meth:`AddressResolver.inject_index`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.program.loader import DynamicLoader
@@ -24,27 +27,54 @@ from repro.program.loader import DynamicLoader
 _MISS = object()
 
 
+@dataclass(frozen=True)
+class SymbolIndex:
+    """Injected symbols by start address, sorted for bisection.
+
+    Read-only, so any number of resolvers can share one.
+    """
+
+    #: sorted start addresses, and the (end, name) of each
+    starts: tuple[int, ...] = ()
+    payloads: tuple[tuple[int, str], ...] = ()
+
+    @classmethod
+    def build(cls, symbols: Mapping[int, tuple[str, int]]) -> "SymbolIndex":
+        """The index over ``symbols`` (absolute address -> (name, size))."""
+        starts = sorted(symbols)
+        payloads = []
+        for start in starts:
+            name, size = symbols[start]
+            payloads.append((start + max(size, 1), name))
+        return cls(tuple(starts), tuple(payloads))
+
+    def lookup(self, address: int) -> str | None:
+        """Name of the symbol covering ``address``, or None."""
+        pos = bisect_right(self.starts, address) - 1
+        if pos >= 0:
+            end, name = self.payloads[pos]
+            if address < end:
+                return name
+        return None
+
+
 @dataclass
 class AddressResolver:
     """Resolve instruction addresses to function names.
 
     Out of the box only the main executable's symbols are known.
-    :meth:`inject_symbols` adds externally supplied (name, absolute
-    address, size) triples — the DynCaPI symbol-injection path.
+    :meth:`inject_index` adds externally supplied symbols — the DynCaPI
+    symbol-injection path.
     """
 
     loader: DynamicLoader
     executable_name: str
-    #: absolute address -> (name, size), indexed lazily for lookup
-    _injected: dict[int, tuple[str, int]] = field(default_factory=dict)
+    #: the injected symbols (shared with other resolvers, never changed)
+    _injected: SymbolIndex = field(default_factory=SymbolIndex)
     unresolved_queries: int = 0
     resolved_queries: int = 0
     #: address -> name-or-None memo (hot path: sled addresses repeat)
     _memo: dict[int, str | None] = field(default_factory=dict, repr=False)
-    #: sorted (start, end, name) index over ``_injected``
-    _index: tuple[list[int], list[tuple[int, str]]] | None = field(
-        default=None, repr=False
-    )
 
     def resolve(self, address: int) -> str | None:
         """Name covering ``address``, or None (counted) if unknown."""
@@ -64,29 +94,9 @@ class AddressResolver:
             sym = exe.binary.symtab.at_offset(address - exe.base)
             if sym is not None:
                 return sym.name
-        starts, payloads = self._injected_index()
-        pos = bisect_right(starts, address) - 1
-        if pos >= 0:
-            end, name = payloads[pos]
-            if address < end:
-                return name
-        return None
+        return self._injected.lookup(address)
 
-    def _injected_index(self) -> tuple[list[int], list[tuple[int, str]]]:
-        index = self._index
-        if index is None:
-            starts = sorted(self._injected)
-            payloads = []
-            for start in starts:
-                name, size = self._injected[start]
-                payloads.append((start + max(size, 1), name))
-            index = (starts, payloads)
-            self._index = index
-        return index
-
-    def inject_symbols(self, triples: list[tuple[str, int, int]]) -> None:
-        """Add (name, absolute address, size) entries from DynCaPI."""
-        for name, addr, size in triples:
-            self._injected[addr] = (name, size)
-        self._index = None
+    def inject_index(self, index: SymbolIndex) -> None:
+        """Resolve DSO addresses through ``index``, read in place."""
+        self._injected = index
         self._memo.clear()

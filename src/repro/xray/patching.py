@@ -92,7 +92,7 @@ class SledPatcher:
         table = self.table()
         if table is not None and address in self._covered:
             return table.get(address)
-        return decode_patch(self._read_sled(address))
+        return self._decode(address)
 
     # -- the decoded table ------------------------------------------------------
 
@@ -109,7 +109,7 @@ class SledPatcher:
             return self._patched
         table = {}
         for address in addresses:
-            decoded = decode_patch(self._read_sled(address))
+            decoded = self._decode(address)
             if decoded is not None:
                 table[address] = decoded
         self.adopt(table, addresses)
@@ -132,11 +132,16 @@ class SledPatcher:
 
     # -- internals ------------------------------------------------------------
 
-    def _read_sled(self, address: int) -> bytes:
+    def _decode(self, address: int) -> tuple[int, int] | None:
+        """The sled at ``address`` decoded from its bytes."""
         try:
-            return self.memory.read(address, SLED_BYTES)
+            blob = self.memory.read(address, SLED_BYTES)
         except SegmentationFault as exc:
             raise PatchingError(f"sled read failed: {exc}") from exc
+        try:
+            return decode_patch(blob)
+        except PatchingError as exc:
+            raise PatchingError(f"sled at {address:#x}: {exc}") from exc
 
     def _protected_write(
         self, address: int, payload: bytes, decoded: tuple[int, int] | None

@@ -16,6 +16,8 @@ import enum
 import struct
 from dataclasses import dataclass
 
+from repro.errors import PatchingError
+
 #: Size of one sled in bytes.  Real x86-64 XRay reserves 11 bytes (a
 #: 2-byte short jump + 9 bytes of NOP); we round up to 12 so the patched
 #: encoding below packs evenly.
@@ -63,14 +65,17 @@ def encode_patch(function_id: int, trampoline_id: int) -> bytes:
 
 
 def decode_patch(blob: bytes) -> tuple[int, int] | None:
-    """Inverse of :func:`encode_patch`; ``None`` if the sled is unpatched."""
+    """Inverse of :func:`encode_patch`; ``None`` if the sled is unpatched.
+
+    Raises :class:`PatchingError` for a blob that is neither.
+    """
     if len(blob) != SLED_BYTES:
-        raise ValueError(f"sled blob must be {SLED_BYTES} bytes, got {len(blob)}")
+        raise PatchingError(f"sled blob must be {SLED_BYTES} bytes, got {len(blob)}")
     if blob == UNPATCHED:
         return None
     magic, _pad, function_id, trampoline_id = struct.unpack("<BBII", blob[:10])
     if magic != PATCH_MAGIC:
-        raise ValueError("corrupt sled content")
+        raise PatchingError("corrupt sled content")
     return function_id, trampoline_id
 
 

@@ -12,6 +12,7 @@ from repro.core.inlining import (
 )
 from repro.core.static_inst import StaticInstrumenter
 from repro.errors import CapiError
+from repro.program.binary import BinaryObject
 from repro.program.builder import ProgramBuilder
 from repro.program.compiler import Compiler
 from repro.program.linker import Linker
@@ -123,6 +124,27 @@ class TestCapiDriver:
         assert out.selected_final == len(out.ic.functions) - prov.added_compensation
         assert prov.spec_name == "kernels"
         assert prov.selection_seconds > 0
+
+    def test_compensations_list_nm_symbols_once(self, demo_program, monkeypatch):
+        """The ``nm`` names are kept on the linked program: a second
+        compensating select of it lists no object again."""
+        linked = Linker().link(Compiler().compile(demo_program))
+        listed = []
+        nm_symbols = BinaryObject.nm_symbols
+
+        def counted(obj):
+            listed.append(obj.name)
+            return nm_symbols(obj)
+
+        monkeypatch.setattr(BinaryObject, "nm_symbols", counted)
+        capi = Capi(graph=build_whole_program_cg(demo_program), app_name="demo")
+        first = capi.select("inlineSpecified(%%)", spec_name="a", linked=linked)
+        assert sorted(listed) == sorted(o.name for o in linked.all_objects())
+        listed.clear()
+        second = capi.select("inSystemHeader(%%)", spec_name="b", linked=linked)
+        assert listed == []
+        assert first.compensation is not None and second.compensation is not None
+        assert available_symbols(linked) is available_symbols(linked)
 
     def test_select_file(self, demo_program, demo_linked, tmp_path):
         spec_path = tmp_path / "my.capi"

@@ -25,6 +25,7 @@ from repro.execution.costs import CostModel
 from repro.execution.workload import Workload
 from repro.multirank import ImbalanceSpec
 from repro.program.loader import DynamicLoader, program_cache
+from repro.scorep.resolution import SymbolIndex
 from repro.workflow import BuiltApp, build_app, run_app
 from repro.xray.dso import XRayDsoRuntime
 from repro.xray.ids import PackedId
@@ -229,6 +230,69 @@ class TestBuiltOncePerProgram:
             workload=WL,
         )
         assert program_cache(app.linked).startup is not None
+
+
+class TestSymbolIndexSharedByRuns:
+    """Score-P's index over the DSOs' symbols (symbol injection, §V-C.1)
+    is built once per program and read, never changed, by the resolver
+    of every run."""
+
+    @staticmethod
+    def counted_builds(monkeypatch) -> list:
+        builds = []
+        build = SymbolIndex.build.__func__
+
+        def counted(cls, symbols):
+            builds.append(len(symbols))
+            return build(cls, symbols)
+
+        monkeypatch.setattr(SymbolIndex, "build", classmethod(counted))
+        return builds
+
+    def test_two_runs_build_the_index_once(self, monkeypatch):
+        builds = self.counted_builds(monkeypatch)
+        app = fresh_demo_app()
+        first = run_app(app, mode="full", tool="scorep", workload=WL)
+        second = run_app(app, mode="full", tool="scorep", workload=WL)
+        state = process_state(app.linked)
+        assert builds == [sum(len(state.symbols[name]) for name in state.symbols.dsos)]
+        assert second.result == first.result
+        assert second.bridge.unresolved_events == 0
+
+    def test_a_serial_world_builds_the_index_once(self, monkeypatch):
+        builds = self.counted_builds(monkeypatch)
+        world = run_app(
+            fresh_demo_app(), mode="full", tool="scorep", ranks=8,
+            imbalance=ImbalanceSpec(), backend="serial", workload=WL,
+        )
+        assert len(world.multirank.per_rank) == 8
+        assert len(builds) == 1
+
+    def test_runs_read_the_index_unchanged(self, demo_app):
+        """Each run's resolver reads the program's index in place and
+        keeps its memo and query counts to itself, so a run leaves the
+        index, and the next run's resolution, as it found them."""
+        state = process_state(demo_app.linked)
+        index = state.symbols.dso_index()
+        starts, payloads = index.starts, index.payloads
+        helper = next(
+            t for name in state.symbols.dsos for t in state.symbols[name]
+            if t.name == "lib_helper"
+        )
+        before = run_app(demo_app, mode="full", tool="scorep", workload=WL)
+        after = run_app(demo_app, mode="full", tool="scorep", workload=WL)
+        assert state.symbols.dso_index() is index
+        assert (index.starts, index.payloads) == (starts, payloads)
+        assert after.result == before.result
+        assert after.bridge.resolver is not before.bridge.resolver
+        assert (
+            after.bridge.resolver.resolved_queries,
+            after.bridge.resolver.unresolved_queries,
+        ) == (
+            before.bridge.resolver.resolved_queries,
+            before.bridge.resolver.unresolved_queries,
+        )
+        assert after.bridge.resolver.resolve(helper.address) == "lib_helper"
 
 
 def reference_startup(linked, ic: InstrumentationConfig) -> StartupReport:

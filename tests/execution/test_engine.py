@@ -1,9 +1,12 @@
 """Unit tests for the virtual-clock execution engine."""
 
+from dataclasses import replace
+
 import pytest
 
 from benchmarks.reference import defeat_memoization
-from repro.errors import ExecutionError
+from repro.core.ic import InstrumentationConfig
+from repro.errors import ExecutionError, PatchingError
 from repro.execution.clock import VirtualClock
 from repro.execution.costs import CostModel
 from repro.execution.engine import ExecutionEngine
@@ -15,7 +18,9 @@ from repro.program.loader import DynamicLoader
 from repro.simmpi.comm import SimComm
 from repro.simmpi.pmpi import PmpiLayer
 from repro.simmpi.world import MpiWorld
+from repro.workflow import build_app, run_app
 from repro.xray.runtime import XRayRuntime
+from repro.xray.sled import SLED_BYTES
 from tests.conftest import make_demo_builder
 
 
@@ -135,6 +140,16 @@ class TestSledIntegration:
         assert events
         assert result.t_total > inactive.t_total
 
+    def test_corrupt_sled_raises_patching_error_naming_it(self):
+        engine, rt = make_engine(with_xray=True)
+        address = engine._record_of("kernel").sleds[0]
+        image = rt.patcher.memory
+        image.mprotect(address, SLED_BYTES, writable=True)
+        image.write(address, b"\x55" * SLED_BYTES)
+        image.mprotect(address, SLED_BYTES, writable=False)
+        with pytest.raises(PatchingError, match=f"sled at {address:#x}: corrupt"):
+            engine.run()
+
     def test_handler_cost_attribution(self):
         cm = CostModel()
         engine, rt = make_engine(with_xray=True, patch_all=True, tool="none")
@@ -149,7 +164,8 @@ class TestSledIntegration:
 
 class TestSledCacheInvalidation:
     """Regression: ``_patched_cache``/``_analytic_memo`` must be keyed
-    to the XRay patch epoch — repatching mid-run invalidates them."""
+    to the memory's write count — repatching mid-run, through the
+    patcher or by writing sled bytes directly, invalidates them."""
 
     def test_is_patched_tracks_repatching(self):
         engine, rt = make_engine(with_xray=True, patch_all=False)
@@ -168,6 +184,78 @@ class TestSledCacheInvalidation:
         assert patched_cycles > unpatched_cycles
         rt.unpatch_all()
         assert engine._analytic("solve").cycles == unpatched_cycles
+
+    def test_analytic_memo_tracks_foreign_writes(self):
+        """Bytes written behind the patcher's back move no patch counter,
+        but the totals must follow them as they follow the patcher."""
+        from tests.execution.test_tape import write_sleds
+
+        engine, rt = make_engine(with_xray=True, patch_all=False)
+        unpatched_cycles = engine._analytic("solve").cycles
+        for packed in rt.packed_ids():
+            write_sleds(rt, packed, True)
+        patched, _ = make_engine(with_xray=True, patch_all=True)
+        assert engine._analytic("solve").cycles == patched._analytic("solve").cycles
+        assert engine._analytic("solve").cycles > unpatched_cycles
+
+    @pytest.mark.parametrize("tool", ["none", "scorep", "talp"])
+    def test_foreign_writes_mid_run_charge_like_the_patcher(self, tool, monkeypatch):
+        """A handler that patches every sled at its 3rd event: the capped
+        residuals charged after it are priced at the new sled state,
+        whether the handler writes the bytes itself or calls the patcher.
+
+        On the chain main -> a -> b -> c -> d under ``site_cap=1`` with
+        ``a`` and ``c`` patched, ``d``'s residual is priced before ``c``'s
+        exit, the 3rd event, and ``c``'s, ``b``'s and ``a``'s after it.
+        """
+        from tests.execution.test_tape import write_sleds
+
+        b = ProgramBuilder("chain5")
+        b.tu("chain.cpp")
+        names = ("main", "a", "b", "c", "d")
+        for name in names:
+            b.function(name, statements=12)
+        for caller, callee in zip(names, names[1:]):
+            b.call(caller, callee, count=3)
+        built = build_app(b.build())
+        set_handler = XRayRuntime.set_handler
+        foreign = [False]
+
+        def patch_all_at_third_event(runtime, handler):
+            if handler is not None:
+                inner, events = handler, [0]
+
+                def handler(packed, event):
+                    inner(packed, event)
+                    events[0] += 1
+                    if events[0] != 3:
+                        return
+                    for target in runtime.packed_ids():
+                        if runtime.is_patched(target):
+                            continue
+                        if foreign[0]:
+                            write_sleds(runtime, target, True)
+                        else:
+                            runtime.patch_function(target)
+
+            set_handler(runtime, handler)
+
+        monkeypatch.setattr(XRayRuntime, "set_handler", patch_all_at_third_event)
+
+        def run(writes_bytes: bool):
+            foreign[0] = writes_bytes
+            return run_app(
+                built, mode="ic", tool=tool, workload=Workload(site_cap=1),
+                ic=InstrumentationConfig(functions=frozenset({"a", "c"})),
+            ).result
+
+        by_patcher = run(writes_bytes=False)
+        assert by_patcher.patched_functions == len(names)
+        # the patcher counts only the sleds it patched itself
+        by_bytes = replace(
+            run(writes_bytes=True), patched_sleds=by_patcher.patched_sleds
+        )
+        assert by_bytes == by_patcher
 
     def test_memoization_defeat_is_equivalent(self):
         memoised = make_engine(with_xray=True, patch_all=True)[0].run()

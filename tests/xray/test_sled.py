@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.errors import PatchingError
 from repro.xray.sled import (
     SLED_BYTES,
     UNPATCHED,
@@ -22,12 +23,12 @@ class TestEncoding:
         assert len(encode_patch(1, 2)) == SLED_BYTES
 
     def test_wrong_size_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PatchingError, match="must be 12 bytes"):
             decode_patch(b"\x90" * (SLED_BYTES - 1))
 
     def test_corrupt_magic_rejected(self):
         blob = b"\x00" + encode_patch(1, 2)[1:]
-        with pytest.raises(ValueError):
+        with pytest.raises(PatchingError, match="corrupt sled content"):
             decode_patch(blob)
 
 
